@@ -8,7 +8,7 @@ GO ?= go
 # build artifact so the perf trajectory is downloadable per run.
 BENCH_OUT ?= BENCH_pr10.json
 
-.PHONY: build test race bench bench-smoke bench-json vet fmt-check staticcheck detlint ci
+.PHONY: build test race examples bench bench-smoke bench-json vet fmt-check staticcheck detlint ci
 
 build:
 	$(GO) build ./...
@@ -28,6 +28,16 @@ test:
 # against each other instead of running effectively serialized.
 race:
 	GOMAXPROCS=4 $(GO) test -race ./internal/...
+
+# Runs every examples/* program end to end and fails on the first
+# non-zero exit. examples/checkpoint and examples/castore are the
+# end-to-end demos of resuming a checkpoint in a fresh session; each
+# example checks its own bit-identity claims and exits 1 on a mismatch.
+examples:
+	@set -e; for d in examples/*/; do \
+		echo "== $$d"; \
+		$(GO) run ./$$d; \
+	done
 
 # Full-size experiment tables (slow); see also `go run ./cmd/detbench`.
 bench:
@@ -62,7 +72,7 @@ staticcheck:
 detlint:
 	$(GO) run ./cmd/detlint ./...
 
-ci: build vet fmt-check detlint test race bench-smoke bench-json
+ci: build vet fmt-check detlint test race examples bench-smoke bench-json
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		$(MAKE) staticcheck; \
 	else \

@@ -203,12 +203,21 @@ func (h *server) stats(w http.ResponseWriter, r *http.Request) {
 	reply(w, h.s.Stats())
 }
 
+// maxBodyBytes caps a request body. Every request is a handful of short
+// JSON fields, so anything larger is refused (413) before it is decoded.
+const maxBodyBytes = 64 << 10
+
 func decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return false
 	}
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			http.Error(w, fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit), http.StatusRequestEntityTooLarge)
+			return false
+		}
 		http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
 		return false
 	}

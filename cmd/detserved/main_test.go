@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro"
@@ -129,4 +130,14 @@ func TestServedErrors(t *testing.T) {
 	// Shut down: further opens are 503.
 	h.Shutdown()
 	post(t, ts, "/v1/open", map[string]any{"tenant": "t", "program": "stripe-small"}, nil, 503)
+}
+
+// TestServedBodyCap checks that a request body over maxBodyBytes is
+// refused with 413 before it is decoded, even when it is valid JSON,
+// while the same request under the cap still succeeds.
+func TestServedBodyCap(t *testing.T) {
+	ts, _ := startTestServer(t)
+	huge := map[string]any{"tenant": strings.Repeat("x", maxBodyBytes), "program": "stripe-small"}
+	post(t, ts, "/v1/open", huge, nil, 413)
+	post(t, ts, "/v1/open", map[string]any{"tenant": "t", "program": "stripe-small"}, nil, 200)
 }

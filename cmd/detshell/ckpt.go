@@ -64,10 +64,13 @@ func ckptSave(store repro.BlobStore, dir string, r io.Reader, out io.Writer) err
 	if err != nil {
 		return err
 	}
-	if _, err := s.RunToCheckpoint(prog, prog.Phases); err != nil {
+	if err := s.Bind(prog); err != nil {
 		return err
 	}
-	m, err := s.SaveTo(store)
+	if _, err := s.Step(prog.Phases); err != nil {
+		return err
+	}
+	m, err := s.Suspend(store)
 	if err != nil {
 		return err
 	}
@@ -97,22 +100,23 @@ func ckptResume(store repro.BlobStore, dir string, r io.Reader, out io.Writer) e
 
 	lines := scriptLines(r)
 	prog := shellProgram(done, lines)
-	opts := shellSessionOpts(out)
-	if len(lines) > 0 {
-		opts = append(opts, repro.WithCheckpointAfter(prog.Phases))
-	}
-	s, err := repro.NewSession(opts...)
+	s, err := repro.NewSession(shellSessionOpts(out)...)
 	if err != nil {
 		return err
 	}
-	if _, err := s.ResumeFrom(store, m, prog); err != nil {
+	if err := s.BindSuspended(prog, store, m); err != nil {
+		return err
+	}
+	// One Step runs every new line; with none it just restores the
+	// machine and re-derives its result.
+	if _, err := s.Step(max(len(lines), 1)); err != nil {
 		return err
 	}
 	if len(lines) == 0 {
 		fmt.Fprintf(os.Stderr, "detshell: resumed checkpoint %s (no new phases)\n", m.Key())
 		return nil
 	}
-	m2, err := s.SaveTo(store)
+	m2, err := s.Suspend(store)
 	if err != nil {
 		return err
 	}

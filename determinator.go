@@ -20,30 +20,35 @@
 //	if err != nil {
 //	    log.Fatal(err)
 //	}
-//	res := sess.Run(func(rt *repro.RT) uint64 {
+//	res, err := sess.RunProgram(repro.Program{Result: func(rt *repro.RT) uint64 {
 //	    x := rt.Alloc(4, 0)
 //	    rt.Env().WriteU32(x, 1)
 //	    rt.ParallelDo(4, func(t *repro.Thread) uint64 { ... })
 //	    return uint64(rt.Env().ReadU32(x))
-//	})
+//	}})
 //
 // Sessions also own deterministic checkpoint/restore. A phased Program
-// can be checkpointed at any phase barrier into an Image — a versioned
-// serialization of the whole space tree (memory, snapshots, COW sharing
-// and dirty tracking), every space's virtual time and traffic counters,
-// the device cursors and the trace log so far — and resumed from that
-// Image in a fresh Session or a fresh process:
+// bound to a session is driven one slice at a time: Step runs a budget
+// of phases and rests at the barrier it reaches, holding an Image — a
+// versioned serialization of the whole space tree (memory, snapshots,
+// COW sharing and dirty tracking), every space's virtual time and
+// traffic counters, the device cursors and the trace log so far.
+// Suspend evicts that Image into a content-addressed store as a chained
+// Manifest, and BindSuspended resumes it in a fresh Session or a fresh
+// process:
 //
-//	img, _ := sess.RunToCheckpoint(prog, 2)     // run 2 phases, snapshot
-//	data, _ := img.Bytes()                      // ship/store the image
-//	img2, _ := repro.DecodeImage(data)
-//	res, _ := sess2.Resume(img2, prog)          // bit-identical continuation
+//	sess.Bind(prog)
+//	sess.Step(2)                                // run 2 phases, rest at barrier 2
+//	m, _ := sess.Suspend(store)                 // chunks + a small manifest
+//	sess2.BindSuspended(prog, store, m)         // fresh session, any process
+//	sr, _ := sess2.Step(prog.Phases)            // bit-identical continuation
 //
 // The resumed run's checksums, conflict reports and virtual times are
 // bit-identical to an uninterrupted run's, and a run that checkpoints is
 // bit-identical to one that does not (checkpointing is a pure
-// observation). See Session, Program and Image; examples/checkpoint is a
-// runnable walkthrough.
+// observation). RunProgram is the one convenience wrapper: it runs a
+// program straight through without checkpointing. See Session, Program
+// and Image; examples/checkpoint is a runnable walkthrough.
 //
 // # Layers
 //
@@ -122,9 +127,9 @@ type (
 	ImageMismatchError = kernel.ImageMismatchError
 )
 
-// Content-addressed checkpoint store (see Session.SaveTo/ResumeFrom).
+// Content-addressed checkpoint store (see Session.Suspend/BindSuspended).
 type (
-	// BlobStore is the pluggable chunk-store interface SaveTo targets.
+	// BlobStore is the pluggable chunk-store interface Suspend targets.
 	BlobStore = castore.BlobStore
 	// ChunkStore extends BlobStore with enumeration and deletion — what
 	// garbage collection needs.
@@ -219,8 +224,8 @@ type (
 func NewMachine(cfg MachineConfig) *Machine { return kernel.New(cfg) }
 
 // Run executes main as a deterministic parallel program on a fresh
-// machine and returns the result. It is the legacy one-shot form of
-// Session.Run, kept as a thin wrapper.
+// machine and returns the result. It is the legacy free-function form
+// of Session.RunProgram(Program{Result: main}), kept as a thin wrapper.
 func Run(opts Options, main func(rt *RT) uint64) RunResult { return core.Run(opts, main) }
 
 // NewRT attaches a private-workspace runtime to a root environment,

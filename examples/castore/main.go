@@ -1,7 +1,8 @@
 // Content-addressed checkpoint store walkthrough: a phased program
-// checkpoints into an on-disk chunk store, a fresh session resumes from
-// the manifest and saves again, and the second save stores only the
-// chunks the run actually changed — a chained incremental image. The
+// suspends into an on-disk chunk store, a fresh session is admitted on
+// the manifest, steps on and suspends again, and the second save stores
+// only the chunks those phases actually changed — a chained incremental
+// image. The
 // garbage collector then shows that dropping to a single root keeps the
 // whole parent chain reachable.
 //
@@ -99,12 +100,15 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Run a third of the phases and save the machine into the store.
+	// Step a third of the phases and suspend the machine into the store.
 	first := session()
-	if _, err := first.RunToCheckpoint(program(), 2); err != nil {
+	if err := first.Bind(program()); err != nil {
 		log.Fatal(err)
 	}
-	m1, err := first.SaveTo(store)
+	if _, err := first.Step(2); err != nil {
+		log.Fatal(err)
+	}
+	m1, err := first.Suspend(store)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -115,22 +119,21 @@ func main() {
 	fmt.Printf("save 1: manifest %s…  %d chunks, %d KiB unique, %d KiB on disk\n",
 		m1.Key().String()[:12], s1.Chunks, s1.LogicalSize>>10, s1.StoredSize>>10)
 
-	// A fresh session resumes from the manifest, runs two more phases,
-	// and saves again — chained onto the first manifest, so only the
-	// pages those phases dirtied are stored anew.
-	mid, err := repro.NewSession(
-		repro.WithMachine(machine), repro.WithCheckpointAfter(4))
-	if err != nil {
-		log.Fatal(err)
-	}
+	// A fresh session is admitted on the manifest, steps two more
+	// phases, and suspends again — chained onto the first manifest, so
+	// only the pages those phases dirtied are stored anew.
+	mid := session()
 	m1Again, err := repro.LoadManifest(store, m1.Key())
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := mid.ResumeFrom(store, m1Again, program()); err != nil {
+	if err := mid.BindSuspended(program(), store, m1Again); err != nil {
 		log.Fatal(err)
 	}
-	m2, err := mid.SaveTo(store)
+	if _, err := mid.Step(2); err != nil {
+		log.Fatal(err)
+	}
+	m2, err := mid.Suspend(store)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -145,10 +148,15 @@ func main() {
 
 	// Resume the chained manifest in another fresh session: the result
 	// is bit-identical to the uninterrupted run.
-	got, err := session().ResumeFrom(store, m2, program())
+	last := session()
+	if err := last.BindSuspended(program(), store, m2); err != nil {
+		log.Fatal(err)
+	}
+	sr, err := last.Step(phases)
 	if err != nil {
 		log.Fatal(err)
 	}
+	got := sr.Result
 	fmt.Printf("resumed:       digest=%#x vt=%d\n", got.Ret, got.VT)
 	if got.Ret != want.Ret || got.VT != want.VT || got.Insns != want.Insns {
 		log.Fatal("resumed run diverged from the uninterrupted one")

@@ -1,7 +1,8 @@
-// Checkpoint/resume walkthrough: a phased parallel program runs half
-// way, serializes the whole machine to bytes at a barrier, and a
-// completely fresh session — in a real deployment, a fresh process —
-// resumes it to a bit-identical result.
+// Checkpoint/resume walkthrough: a phased parallel program steps half
+// way, suspends the whole machine into a checkpoint store at a barrier,
+// and a completely fresh session — in a real deployment, a fresh
+// process — is admitted on the checkpoint's manifest and steps it to a
+// bit-identical result.
 //
 //	go run ./examples/checkpoint
 package main
@@ -80,23 +81,35 @@ func main() {
 	}
 	fmt.Printf("uninterrupted: digest=%#x vt=%d\n", want.Ret, want.VT)
 
-	// Run half the phases and checkpoint the machine to bytes.
+	// Step half the phases, then suspend the machine at that barrier
+	// into a store: the checkpoint is now the store's chunks plus a small
+	// manifest naming them.
 	half, err := repro.NewSession(repro.WithMachine(machine))
 	if err != nil {
 		log.Fatal(err)
 	}
-	img, err := half.RunToCheckpoint(p, phases/2)
+	if err := half.Bind(p); err != nil {
+		log.Fatal(err)
+	}
+	if _, err := half.Step(phases / 2); err != nil {
+		log.Fatal(err)
+	}
+	store := repro.NewMemStore()
+	m, err := half.Suspend(store)
 	if err != nil {
 		log.Fatal(err)
 	}
-	data, err := img.Bytes()
+	st, err := store.Stats()
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("checkpoint:    %d bytes after %d phases\n", len(data), phases/2)
+	manifest := m.Bytes()
+	fmt.Printf("checkpoint:    %d-byte manifest over %d KiB of chunks after %d phases\n",
+		len(manifest), st.LogicalSize>>10, phases/2)
 
-	// A fresh session (fresh process, fresh machine) resumes the bytes.
-	img2, err := repro.DecodeImage(data)
+	// A fresh session (fresh process, fresh machine) is admitted on the
+	// manifest bytes and steps through the remaining phases.
+	m2, err := repro.DecodeManifest(manifest)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -105,10 +118,14 @@ func main() {
 		log.Fatal(err)
 	}
 	p2, _ := program() // fresh program value: no Go state crosses over
-	got, err := resumed.Resume(img2, p2)
+	if err := resumed.BindSuspended(p2, store, m2); err != nil {
+		log.Fatal(err)
+	}
+	sr, err := resumed.Step(phases)
 	if err != nil {
 		log.Fatal(err)
 	}
+	got := sr.Result
 	fmt.Printf("resumed:       digest=%#x vt=%d\n", got.Ret, got.VT)
 
 	if got.Ret != want.Ret || got.VT != want.VT || got.Insns != want.Insns {

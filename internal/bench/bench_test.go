@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"io/fs"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -152,6 +154,66 @@ func TestTab3CountsNonzero(t *testing.T) {
 	lines, err := strconv.Atoi(total[2])
 	if err != nil || lines < 3000 {
 		t.Errorf("total line count %q implausible", total[2])
+	}
+}
+
+// TestTab3CoversEveryPackage checks that the Table 3 groups partition
+// the module: every directory holding Go files under the root, cmd/,
+// internal/ and examples/ falls in exactly one group, so a new package
+// cannot silently drop out of the code-size count.
+func TestTab3CoversEveryPackage(t *testing.T) {
+	const root = "../.."
+	pkgs := map[string]bool{}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		rel = filepath.ToSlash(rel)
+		if d.IsDir() {
+			switch {
+			case rel == ".":
+			case d.Name() == "testdata" || strings.HasPrefix(d.Name(), "."):
+				return filepath.SkipDir
+			case rel == "perfbench": // a separate module
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if strings.HasSuffix(rel, ".go") {
+			pkgs[filepath.ToSlash(filepath.Dir(rel))] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{".", "cmd/codesize", "internal/castore", "internal/imgenc", "examples/castore"} {
+		if !pkgs[want] {
+			t.Fatalf("walk found no Go files in %s", want)
+		}
+	}
+	covers := func(dir, pkg string) bool {
+		if dir == "." {
+			return pkg == "."
+		}
+		return pkg == dir || strings.HasPrefix(pkg, dir+"/")
+	}
+	for pkg := range pkgs {
+		var in []string
+		for _, g := range tab3Groups() {
+			for _, d := range g.dirs {
+				if covers(d, pkg) {
+					in = append(in, g.name)
+				}
+			}
+		}
+		if len(in) != 1 {
+			t.Errorf("package %s falls in %d tab3 groups %q, want exactly 1", pkg, len(in), in)
+		}
 	}
 }
 

@@ -8,32 +8,47 @@ import (
 	"strings"
 )
 
+// codeGroup is one Table 3 component: the directories whose Go files it
+// counts. A directory counts every .go file beneath it, except "." (the
+// root package), which counts only its own top-level files.
+type codeGroup struct {
+	name string
+	dirs []string
+}
+
+// tab3Groups partitions every Go package of the module (the root
+// package, cmd/, internal/ and examples/; the separate perfbench module
+// is not part of it) into Table 3's components.
+func tab3Groups() []codeGroup {
+	return []codeGroup{
+		{"Kernel core (vm, spaces, merge, migration, image framing)",
+			[]string{"internal/vm", "internal/kernel", "internal/imgenc"}},
+		{"User-level runtime (threads, fs, proc, dsched, trace)",
+			[]string{"internal/core", "internal/fs", "internal/uproc", "internal/dsched", "internal/trace"}},
+		{"Library facade (root package: Session, images, manifests)", []string{"."}},
+		{"Services (checkpoint store, session serving, build executor)",
+			[]string{"internal/castore", "internal/serve", "internal/detmake"}},
+		{"Benchmarks and baselines", []string{"internal/workload", "internal/baseline"}},
+		{"Harness and tools (bench, detlint, cmd)", []string{"internal/bench", "internal/detlint", "cmd"}},
+		{"User-level programs (shell, examples)", []string{"examples"}},
+	}
+}
+
 // Tab3 reproduces Table 3: implementation code size by component,
 // counting lines containing semicolons as the paper does — a metric that
 // undercounts Go (which elides most semicolons), so plain non-blank,
 // non-comment source lines are reported alongside.
 func Tab3(root string) Table {
-	groups := []struct {
-		name string
-		dirs []string
-	}{
-		{"Kernel core (vm, spaces, merge, migration)", []string{"internal/vm", "internal/kernel"}},
-		{"User-level runtime (threads, fs, proc, dsched, trace)",
-			[]string{"internal/core", "internal/fs", "internal/uproc", "internal/dsched", "internal/trace"}},
-		{"Benchmarks and baselines", []string{"internal/workload", "internal/baseline"}},
-		{"Harness and tools", []string{"internal/bench", "cmd"}},
-		{"User-level programs (shell, examples)", []string{"examples"}},
-	}
 	t := Table{
 		ID:     "tab3",
 		Title:  "implementation code size (this reproduction)",
 		Header: []string{"component", "files", "lines", "semicolons", "test-lines"},
 	}
 	var totF, totL, totS, totT int
-	for _, g := range groups {
+	for _, g := range tab3Groups() {
 		var files, lines, semis, testLines int
 		for _, d := range g.dirs {
-			f, l, s, tl := countDir(filepath.Join(root, d))
+			f, l, s, tl := countDir(filepath.Join(root, d), d != ".")
 			files += f
 			lines += l
 			semis += s
@@ -54,11 +69,21 @@ func Tab3(root string) Table {
 	return t
 }
 
-// countDir tallies Go files under dir: (files, non-test lines, non-test
-// semicolon lines, test lines).
-func countDir(dir string) (files, lines, semis, testLines int) {
+// countDir tallies Go files in dir — and, when recursive, in every
+// directory beneath it except testdata trees: (files, non-test lines,
+// non-test semicolon lines, test lines).
+func countDir(dir string, recursive bool) (files, lines, semis, testLines int) {
 	filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
-		if err != nil || info.IsDir() || !strings.HasSuffix(path, ".go") {
+		if err != nil {
+			return nil
+		}
+		if info.IsDir() {
+			if path != dir && (!recursive || info.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
 			return nil
 		}
 		l, s := countFile(path)

@@ -240,7 +240,10 @@ func DecodeForest(data []byte) ([]*Space, error) {
 	if r.Err == nil && nPages*PageSize > len(r.B) {
 		r.Failf("page count %d exceeds image size", nPages)
 	}
-	pages := make([]*page, 0, max(nPages, 0))
+	var pages []*page
+	if r.Err == nil {
+		pages = make([]*page, 0, nPages)
+	}
 	for i := 0; i < nPages && r.Err == nil; i++ {
 		pg := newPageFrom(r.Take(PageSize))
 		pg.refs.Store(0) // references added as ptes adopt the page
@@ -251,7 +254,10 @@ func DecodeForest(data []byte) ([]*Space, error) {
 	if r.Err == nil && nTables*3 > len(r.B) {
 		r.Failf("table count %d exceeds image size", nTables)
 	}
-	tables := make([]*table, 0, max(nTables, 0))
+	var tables []*table
+	if r.Err == nil {
+		tables = make([]*table, 0, nTables)
+	}
 	for i := 0; i < nTables && r.Err == nil; i++ {
 		t := newTable()
 		t.refs.Store(0)
@@ -285,7 +291,10 @@ func DecodeForest(data []byte) ([]*Space, error) {
 	if r.Err == nil && nSpaces > len(r.B) {
 		r.Failf("space count %d exceeds image size", nSpaces)
 	}
-	spaces := make([]*Space, 0, max(nSpaces, 0))
+	var spaces []*Space
+	if r.Err == nil {
+		spaces = make([]*Space, 0, nSpaces)
+	}
 	for i := 0; i < nSpaces && r.Err == nil; i++ {
 		s := NewSpace()
 		s.dirtyAll = r.U8()&1 != 0

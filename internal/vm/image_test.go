@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"runtime"
 	"testing"
 )
 
@@ -213,4 +214,39 @@ func TestForestDecodeRejectsBadImages(t *testing.T) {
 func fixCRC(img []byte) {
 	payload := img[:len(img)-4]
 	binary.LittleEndian.PutUint32(img[len(img)-4:], crc32.ChecksumIEEE(payload))
+}
+
+// TestForestDecodeBoundsHostileCounts is the regression test for an
+// out-of-memory abort: a forest whose CRC is valid but whose page, table
+// or space count claims 2^31 entries must fail with *ImageFormatError
+// without first allocating a slice sized by the claimed count.
+func TestForestDecodeBoundsHostileCounts(t *testing.T) {
+	const huge = 1 << 31
+	header := func() []byte {
+		return append([]byte(imageMagic), ImageVersion)
+	}
+	cases := map[string][]byte{
+		"pages":  binary.LittleEndian.AppendUint32(header(), huge),
+		"tables": binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(header(), 0), huge),
+		"spaces": binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(
+			binary.LittleEndian.AppendUint32(header(), 0), 0), huge),
+	}
+	for name, b := range cases {
+		img := append(b, make([]byte, 4096)...) // room for a plausible body
+		img = append(img, 0, 0, 0, 0)
+		fixCRC(img)
+
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := DecodeForest(img)
+		runtime.ReadMemStats(&after)
+
+		var ferr *ImageFormatError
+		if !errors.As(err, &ferr) {
+			t.Fatalf("%s: 2^31 count: got %v, want *ImageFormatError", name, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(16*len(img)) {
+			t.Fatalf("%s: decoding a %d-byte image allocated %d bytes", name, len(img), grew)
+		}
+	}
 }

@@ -1,6 +1,6 @@
 package repro
 
-// Store-backed checkpoints: SaveTo/ResumeFrom and the Manifest chain.
+// Store-backed checkpoints: SaveImage/LoadImage and the Manifest chain.
 //
 // Image.Bytes is the flat, single-blob form of a checkpoint. This file
 // is the chunked form: the image's kernel section is split into its
@@ -13,7 +13,7 @@ package repro
 // saved, and a resume from a store is bit-identical to a resume from
 // the flat form.
 //
-// Chaining: each SaveTo links the new manifest to the session's
+// Chaining: each Suspend links the new manifest to the session's
 // previous one, and the forest root delta-encodes against the parent's.
 // A checkpoint that touched k pages since the previous one therefore
 // stores O(k) new chunk bytes, and collecting garbage with only the
@@ -131,7 +131,7 @@ func manifestFromNode(key castore.Key, node *castore.Node, raw []byte) (*Manifes
 // and returns its manifest. With a non-nil parent (an earlier manifest
 // in the same store), pages and tables unchanged since the parent are
 // not re-stored and the new root delta-encodes against the parent's —
-// the incremental form SaveTo chains automatically.
+// the incremental form Session.Suspend chains automatically.
 func SaveImage(store BlobStore, img *Image, parent *Manifest) (*Manifest, error) {
 	kmeta, forest, err := kernel.SplitImage(img.Kernel)
 	if err != nil {
@@ -202,36 +202,6 @@ func LoadImage(store BlobStore, m *Manifest) (*Image, error) {
 	}
 	im.Kernel = full
 	return im, nil
-}
-
-// SaveTo writes the session's most recent captured checkpoint (the
-// resting image of a Quiescent session, or the last CheckpointAfter
-// capture) into store and returns its manifest. Successive SaveTo calls
-// on one session — and SaveTo after ResumeFrom — chain their manifests,
-// so each save stores only chunks new since the previous one. Unlike
-// Suspend, SaveTo keeps the checkpoint in memory: the session stays
-// steppable without a reload. Calling it mid-run fails with
-// *StateError.
-func (s *Session) SaveTo(store BlobStore) (*Manifest, error) {
-	if err := s.begin("SaveTo", StateIdle, StateQuiescent); err != nil {
-		return nil, err
-	}
-	defer s.mu.Unlock()
-	img := s.current
-	if img == nil {
-		if n := len(s.checkpoints); n > 0 {
-			img = s.checkpoints[n-1]
-		}
-	}
-	if img == nil {
-		return nil, &ProgramError{Msg: "SaveTo without a captured checkpoint; use RunToCheckpoint or CheckpointAfter first"}
-	}
-	m, err := SaveImage(store, img, s.lastManifest)
-	if err != nil {
-		return nil, err
-	}
-	s.lastManifest = m
-	return m, nil
 }
 
 // --- chain-head files ---------------------------------------------------------
@@ -310,31 +280,4 @@ func ReadManifestHead(store BlobStore, path string) (*Manifest, error) {
 		return nil, &HeadError{Path: path, Msg: "manifest fails validation", Err: err}
 	}
 	return m, nil
-}
-
-// ResumeFrom loads the checkpoint m references from store and resumes
-// p from it — the store-backed form of Resume, with the same
-// bit-identical continuation guarantee. The loaded manifest becomes
-// the session's chain parent, so a later SaveTo stores an incremental
-// checkpoint on top of m.
-//
-// Deprecation note: ResumeFrom runs the checkpoint to completion in one
-// call; BindSuspended/Step is the incremental form the serving fabric
-// uses, with the same store-backed chaining.
-func (s *Session) ResumeFrom(store BlobStore, m *Manifest, p Program) (RunResult, error) {
-	img, err := LoadImage(store, m)
-	if err != nil {
-		return RunResult{}, err
-	}
-	if err := s.beginUnbound("ResumeFrom", StateIdle, StateQuiescent); err != nil {
-		return RunResult{}, err
-	}
-	defer s.mu.Unlock()
-	s.lastManifest = m
-	res, err := s.runPhased(p, img, 0, false)
-	if err == nil {
-		s.state = StateIdle
-		s.current = nil
-	}
-	return res, err
 }

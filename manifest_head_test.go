@@ -19,10 +19,7 @@ import (
 func headFixture(t *testing.T, store BlobStore) *Manifest {
 	t.Helper()
 	s := mustSession(t, WithMachine(MachineConfig{CPUsPerNode: 2, MergeWorkers: 1}))
-	if _, err := s.RunToCheckpoint(arrayProgram(2, 2, 256, -1, nil), 1); err != nil {
-		t.Fatal(err)
-	}
-	m, err := s.SaveTo(store)
+	m, err := stepAndSuspend(t, s, arrayProgram(2, 2, 256, -1, nil), store, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+
+	"repro/internal/castore"
 )
 
 // sparseProgram writes every page once in phase 0, then touches only
@@ -42,70 +44,15 @@ func sparseProgram(phases, pages, dirtyPages int, salt uint64) Program {
 	}
 }
 
-func TestSaveToResumeFromBothBackends(t *testing.T) {
-	p := sparseProgram(3, 64, 4, 0)
-	opts := []SessionOption{WithMachine(MachineConfig{CPUsPerNode: 2, MergeWorkers: 1})}
-	res, err := mustSession(t, opts...).RunProgram(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := keyOf(res, err)
-
-	dir, err := OpenDirStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, store := range map[string]BlobStore{"mem": NewMemStore(), "dir": dir} {
-		sess := mustSession(t, opts...)
-		if _, err := sess.RunToCheckpoint(p, 1); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		m, err := sess.SaveTo(store)
-		if err != nil {
-			t.Fatalf("%s: SaveTo: %v", name, err)
-		}
-		// A fresh process: reload the manifest from its bytes and resume.
-		m2, err := DecodeManifest(m.Bytes())
-		if err != nil {
-			t.Fatalf("%s: DecodeManifest: %v", name, err)
-		}
-		if m2.Key() != m.Key() {
-			t.Fatalf("%s: manifest key changed across serialization", name)
-		}
-		res, rerr := mustSession(t, opts...).ResumeFrom(store, m2, p)
-		if got := keyOf(res, rerr); got != want {
-			t.Fatalf("%s: store-backed resume diverged:\n got %+v\nwant %+v", name, got, want)
-		}
-	}
-}
-
-func TestSaveToWithoutCheckpointFailsTyped(t *testing.T) {
-	sess := mustSession(t)
-	if _, err := sess.SaveTo(NewMemStore()); !errors.As(err, new(*ProgramError)) {
-		t.Fatalf("SaveTo on an empty session: %v, want ProgramError", err)
-	}
-}
-
 func TestManifestChainStoresIncrementally(t *testing.T) {
-	// Checkpoint after phase 1 (all 256 pages fresh), save, keep running
-	// to phase 2 (4 pages dirtied), save again on the same session: the
-	// second save must chain on the first and store far fewer bytes.
+	// Suspend after phase 1 (all 256 pages fresh), step on to phase 2 (4
+	// pages dirtied) and suspend again on the same session: the second
+	// save must chain on the first and store far fewer bytes.
 	p := sparseProgram(3, 256, 4, 0)
-	opts := []SessionOption{
-		WithMachine(MachineConfig{CPUsPerNode: 2, MergeWorkers: 1}),
-		WithCheckpointAfter(1, 2),
-	}
 	store := NewMemStore()
 
-	sess := mustSession(t, opts...)
-	if _, err := sess.RunProgram(p); err != nil {
-		t.Fatal(err)
-	}
-	cks := sess.Checkpoints()
-	if len(cks) != 2 {
-		t.Fatalf("captured %d checkpoints, want 2", len(cks))
-	}
-	m1, err := SaveImage(store, cks[0], nil)
+	sess := mustSession(t, WithMachine(MachineConfig{CPUsPerNode: 2, MergeWorkers: 1}))
+	m1, err := stepAndSuspend(t, sess, p, store, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +60,11 @@ func TestManifestChainStoresIncrementally(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := SaveImage(store, cks[1], m1)
+	sr, err := sess.Step(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2, err := sess.Suspend(store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,12 +84,9 @@ func TestManifestChainStoresIncrementally(t *testing.T) {
 		t.Fatalf("incremental save stored %d of %d bytes (>= 10%%)", delta, s1.StoredSize)
 	}
 
-	// The chained image loads byte-identically to its flat form.
+	// The chained image loads byte-identically to the flat form the
+	// session rested at (StepResult.Digest keys its serialization).
 	img, err := LoadImage(store, m2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantBytes, err := cks[1].Bytes()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +94,7 @@ func TestManifestChainStoresIncrementally(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(gotBytes, wantBytes) {
+	if castore.KeyOf(gotBytes) != sr.Digest {
 		t.Fatal("chained image differs from its flat form")
 	}
 }
@@ -183,28 +131,17 @@ func TestSiblingSessionsShareChunks(t *testing.T) {
 	// pages (different salts), and save. At low dirty fractions their
 	// images must share well over half their chunks.
 	const pages, dirty = 256, 4
-	opts := []SessionOption{
-		WithMachine(MachineConfig{CPUsPerNode: 2, MergeWorkers: 1}),
-		WithCheckpointAfter(2),
-	}
+	opts := []SessionOption{WithMachine(MachineConfig{CPUsPerNode: 2, MergeWorkers: 1})}
 	store := NewMemStore()
 
-	parent := mustSession(t, opts...)
-	if _, err := parent.RunToCheckpoint(sparseProgram(3, pages, dirty, 0), 1); err != nil {
-		t.Fatal(err)
-	}
-	m0, err := parent.SaveTo(store)
+	m0, err := stepAndSuspend(t, mustSession(t, opts...), sparseProgram(3, pages, dirty, 0), store, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	var siblings []*Manifest
 	for _, salt := range []uint64{0x1000000, 0x2000000} {
-		sess := mustSession(t, opts...)
-		if _, err := sess.ResumeFrom(store, m0, sparseProgram(3, pages, dirty, salt)); err != nil {
-			t.Fatal(err)
-		}
-		m, err := sess.SaveTo(store)
+		m, err := stepAndSuspend(t, mustSession(t, opts...), sparseProgram(3, pages, dirty, salt), store, m0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,29 +167,17 @@ func TestSiblingSessionsShareChunks(t *testing.T) {
 
 func TestCollectKeepsSurvivingChains(t *testing.T) {
 	const pages, dirty = 128, 4
-	opts := []SessionOption{
-		WithMachine(MachineConfig{CPUsPerNode: 2, MergeWorkers: 1}),
-		WithCheckpointAfter(2),
-	}
+	opts := []SessionOption{WithMachine(MachineConfig{CPUsPerNode: 2, MergeWorkers: 1})}
 	store := NewMemStore()
-	p := sparseProgram(3, pages, dirty, 0)
 
-	parent := mustSession(t, opts...)
-	if _, err := parent.RunToCheckpoint(p, 1); err != nil {
-		t.Fatal(err)
-	}
-	m0, err := parent.SaveTo(store)
+	m0, err := stepAndSuspend(t, mustSession(t, opts...), sparseProgram(3, pages, dirty, 0), store, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Two divergent children chained on m0.
 	var kids []*Manifest
 	for _, salt := range []uint64{7, 9} {
-		sess := mustSession(t, opts...)
-		if _, err := sess.ResumeFrom(store, m0, sparseProgram(3, pages, dirty, salt)); err != nil {
-			t.Fatal(err)
-		}
-		m, err := sess.SaveTo(store)
+		m, err := stepAndSuspend(t, mustSession(t, opts...), sparseProgram(3, pages, dirty, salt), store, m0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -311,12 +236,8 @@ func TestCollectKeepsSurvivingChains(t *testing.T) {
 func TestManifestAndChunkCorruptionRejected(t *testing.T) {
 	p := sparseProgram(2, 32, 4, 0)
 	opts := []SessionOption{WithMachine(MachineConfig{CPUsPerNode: 2, MergeWorkers: 1})}
-	sess := mustSession(t, opts...)
-	if _, err := sess.RunToCheckpoint(p, 1); err != nil {
-		t.Fatal(err)
-	}
 	store := NewMemStore()
-	m, err := sess.SaveTo(store)
+	m, err := stepAndSuspend(t, mustSession(t, opts...), p, store, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

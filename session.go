@@ -25,9 +25,11 @@ import (
 // deterministic checkpoint/restore.
 //
 // A Session does not own a running machine; it is a validated
-// configuration plus the run entry points. Each Run* call builds a fresh
-// machine, which is what makes "resume in a fresh process" and "run the
-// same program twice" the same operation.
+// configuration plus the run entry points. Every run — RunProgram, or
+// one Step of a bound program — builds a fresh machine (restored from
+// the resting checkpoint when there is one), which is what makes
+// "resume in a fresh process" and "run the same program twice" the same
+// operation.
 //
 // # Checkpoint/restore
 //
@@ -50,36 +52,39 @@ import (
 // A Session moves through an explicit lifecycle:
 //
 //		Idle ──Bind──▶ Quiescent ──Step──▶ Running ──▶ Quiescent
-//		                  │   ▲                           │
-//		            Suspend   └─────────Step──────────────┘
-//		                  ▼
-//		               Suspended ──Close──▶ Closed
+//		  │               │   ▲                           │
+//		  │         Suspend   └─────────Step──────────────┘
+//		  │               ▼
+//		  └─BindSuspended─▶ Suspended ──Step──▶ Running ──▶ Quiescent
 //
-//	 - Idle: no program bound, no pending checkpoint; every entry point
-//	   is available.
+//		any state but Running ──Close──▶ Closed
+//
+//	 - Idle: no program bound. RunProgram runs a whole program here and
+//	   leaves the session Idle; Bind and BindSuspended attach one for
+//	   stepping.
 //	 - Running: an entry point is in flight. Any lifecycle call made
 //	   concurrently fails immediately with *StateError instead of
-//	   queueing behind the run (a SaveTo mid-run, a double Resume).
-//	 - Quiescent: the session rests at a phase barrier holding a
-//	   captured in-memory Image; Step continues it, Suspend evicts it to
-//	   a store, SaveTo persists it without evicting.
+//	   queueing behind the run (a Suspend mid-slice, a second Step).
+//	 - Quiescent: the bound program rests at a phase barrier holding a
+//	   captured in-memory Image (or, freshly bound, is about to run phase
+//	   0); Step continues it, Suspend evicts it to a store.
 //	 - Suspended: the checkpoint lives only in a BlobStore (as a chained
 //	   Manifest); the session holds no image bytes. Step transparently
 //	   resumes from the store.
 //	 - Closed: terminal; everything but State and Close fails with
 //	   *StateError.
 //
-// The stepped form (Bind/Step/Suspend) is what a multi-tenant server
-// drives (internal/serve): sessions run one timeslice at a time, yield
-// at quiescence points, and are evicted to a shared store while idle.
-// The historical one-shot entry points (Run, RunProgram,
-// RunToCheckpoint, Resume, SaveTo, ResumeFrom) remain as thin wrappers
-// over the same runner and now enforce the lifecycle with typed errors
-// instead of blocking or silently doing the wrong thing.
+// The stepped form is what a multi-tenant server drives (internal/serve):
+// sessions run one timeslice at a time, yield at quiescence points, and
+// are evicted to a shared store while idle. Resuming a checkpoint in a
+// fresh Session — or a fresh process — is BindSuspended on its manifest
+// followed by Step. RunProgram is the one convenience wrapper: it runs
+// the same phased runner straight through, without capturing or
+// serializing any image.
 type Session struct {
 	cfg SessionConfig
 
-	// mu serializes the Run*/Step entry points and guards the per-run
+	// mu serializes the RunProgram/Step entry points and guards the per-run
 	// fields below: a Session is reusable run after run, but one run at
 	// a time — concurrent runs would cross-wire trace splicing and
 	// checkpoint collection. Lifecycle entry points TryLock it: a call
@@ -93,8 +98,7 @@ type Session struct {
 	// never stored: it is implied by mu being held by an entry point.
 	state SessionState
 
-	// prog is the program bound by Bind/BindSuspended for the stepped
-	// lifecycle; nil for sessions driven by the one-shot entry points.
+	// prog is the program bound by Bind/BindSuspended; nil while Idle.
 	prog *Program
 
 	// current is the checkpoint the session rests at (Quiescent); nil
@@ -109,17 +113,14 @@ type Session struct {
 	// BindSuspended session that has not loaded its image yet).
 	pos int
 
-	// log is the live recording of the most recent Run* call (Record
-	// mode); prefix is the already-recorded log a resumed session splices
-	// in front of it.
+	// log is the live recording of the most recent run (Record mode);
+	// prefix is the already-recorded log a resumed session splices in
+	// front of it.
 	log    *TraceLog
 	prefix *TraceLog
 
-	checkpoints []*Image
-
-	// lastManifest is the most recent manifest this session saved
-	// (SaveTo, Suspend) or resumed from (ResumeFrom, BindSuspended); the
-	// next save chains onto it.
+	// lastManifest is the most recent manifest this session suspended to
+	// or was bound to (BindSuspended); the next Suspend chains onto it.
 	lastManifest *Manifest
 }
 
@@ -127,8 +128,7 @@ type Session struct {
 type SessionState uint8
 
 const (
-	// StateIdle is a fresh or fully completed session: no bound program,
-	// no pending checkpoint.
+	// StateIdle is an unbound session: no program, no checkpoint.
 	StateIdle SessionState = iota
 	// StateRunning marks an entry point in flight.
 	StateRunning
@@ -160,9 +160,10 @@ func (s SessionState) String() string {
 }
 
 // StateError reports a lifecycle entry point invoked from a state that
-// does not permit it: SaveTo or a second Resume while a run is in
-// flight (StateRunning), Step without a bound program, Suspend with
-// nothing captured, anything but Close on a Closed session.
+// does not permit it: a Suspend or second Step while a run is in flight
+// (StateRunning), Step without a bound program, RunProgram on a bound
+// session, Suspend with nothing captured, anything but Close on a
+// Closed session.
 type StateError struct {
 	Op    string       // the entry point that was refused
 	State SessionState // the state the session was in
@@ -192,22 +193,6 @@ func (s *Session) begin(op string, allowed ...SessionState) error {
 	st := s.state
 	s.mu.Unlock()
 	return &StateError{Op: op, State: st}
-}
-
-// beginUnbound is begin for the one-shot entry points, which
-// additionally refuse sessions bound to a stepped program — mixing the
-// two forms would corrupt the stepped chain.
-func (s *Session) beginUnbound(op string, allowed ...SessionState) error {
-	if err := s.begin(op, allowed...); err != nil {
-		return err
-	}
-	if s.prog != nil {
-		st := s.state
-		s.mu.Unlock()
-		return &StateError{Op: op, State: st,
-			Msg: "session is bound to a stepped program; drive it with Step/Suspend/Close"}
-	}
-	return nil
 }
 
 // State reports the session's lifecycle state. A session whose mutex is
@@ -246,11 +231,6 @@ type SessionConfig struct {
 	// Input / Output are the console streams.
 	Input  io.Reader
 	Output io.Writer
-	// CheckpointAfter lists phase barriers at which RunProgram captures
-	// an Image while continuing to run: the value k means "after the
-	// first k phases" (1 <= k <= Phases). Captured images are available
-	// from Checkpoints.
-	CheckpointAfter []int
 }
 
 // SessionOption mutates a SessionConfig under construction.
@@ -289,12 +269,6 @@ func WithReplay(l *TraceLog) SessionOption {
 // WithConsole sets the console streams.
 func WithConsole(in io.Reader, out io.Writer) SessionOption {
 	return func(c *SessionConfig) { c.Input, c.Output = in, out }
-}
-
-// WithCheckpointAfter requests an Image capture at the named phase
-// barriers (k means after the first k phases) while the run continues.
-func WithCheckpointAfter(phases ...int) SessionOption {
-	return func(c *SessionConfig) { c.CheckpointAfter = append(c.CheckpointAfter, phases...) }
 }
 
 // ConfigError reports an invalid session or facade configuration value.
@@ -346,19 +320,14 @@ func NewSessionFromConfig(cfg SessionConfig) (*Session, error) {
 	if cfg.Machine.Console != nil && (cfg.Input != nil || cfg.Output != nil || cfg.Record || cfg.Replay != nil) {
 		return nil, &ConfigError{Field: "Machine.Console", Reason: "set Input/Output on the session instead of supplying a console"}
 	}
-	for _, k := range cfg.CheckpointAfter {
-		if k < 1 {
-			return nil, &ConfigError{Field: "CheckpointAfter", Reason: fmt.Sprintf("barrier index %d (must be >= 1)", k)}
-		}
-	}
 	return &Session{cfg: cfg}, nil
 }
 
 // Config returns the session's validated configuration.
 func (s *Session) Config() SessionConfig { return s.cfg }
 
-// TraceLog returns the trace recorded by the most recent Run* call
-// (Record mode only). For a run resumed from a checkpoint the log is
+// TraceLog returns the trace recorded by the most recent RunProgram or
+// Step (Record mode only). For a run resumed from a checkpoint the log is
 // complete, not a suffix: the restore re-records the image's prefix
 // while fast-forwarding the devices, so the result is bit-identical to
 // the log an uninterrupted recording would have produced.
@@ -366,14 +335,6 @@ func (s *Session) TraceLog() *TraceLog {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.log
-}
-
-// Checkpoints returns the images captured by the most recent RunProgram
-// (via CheckpointAfter), in capture order.
-func (s *Session) Checkpoints() []*Image {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.checkpoints
 }
 
 // NewSched builds a deterministic scheduler from the session's scheduler
@@ -413,24 +374,6 @@ func (s *Session) deviceConfig() MachineConfig {
 	return cfg
 }
 
-// Run executes main as a deterministic parallel program on a fresh
-// machine built from the session configuration — the Session form of the
-// package-level Run. Lifecycle misuse (a concurrent run in flight, a
-// closed or stepped-bound session) surfaces as a StatusNever result
-// whose Err is a *StateError.
-func (s *Session) Run(main func(rt *RT) uint64) RunResult {
-	if err := s.beginUnbound("Run", StateIdle, StateQuiescent); err != nil {
-		return RunResult{Status: kernel.StatusNever, Err: err}
-	}
-	defer s.mu.Unlock()
-	m := kernel.New(s.deviceConfig())
-	return m.Run(func(env *kernel.Env) {
-		rt := core.New(env, s.cfg.SharedSize)
-		rt.SetTreeJoin(s.cfg.TreeJoin)
-		env.SetRet(main(rt))
-	}, 0)
-}
-
 // Program is a phased deterministic program: the checkpointable form.
 // All cross-phase state must live in the shared region (or in the
 // sections Snapshot stashes); Go-side variables do not survive a resume.
@@ -466,107 +409,34 @@ type ProgramError struct{ Msg string }
 
 func (e *ProgramError) Error() string { return "repro: program: " + e.Msg }
 
-// RunProgram runs all phases of p on a fresh machine, capturing images
-// at the configured CheckpointAfter barriers (available from
-// Checkpoints afterwards). It returns the machine result and the first
-// program error (phase error, conflict, crash) if any.
-//
-// Deprecation note: RunProgram is the one-shot form kept for existing
-// callers; code that needs to interleave many programs (a server)
-// should Bind the program and drive it with Step, which runs the same
-// phased runner one timeslice at a time.
+// RunProgram runs all phases of p to completion on a fresh machine and
+// returns the machine result and the first program error (phase error,
+// conflict, crash) if any. It captures no checkpoint: it is the
+// convenience wrapper for run-to-completion uses on an unbound (Idle)
+// session. A program with no phases runs just Result, so
+// RunProgram(Program{Result: main}) runs main as a plain deterministic
+// parallel program. To interleave, persist or resume runs, Bind the
+// program and drive it with Step.
 func (s *Session) RunProgram(p Program) (RunResult, error) {
-	if err := s.beginUnbound("RunProgram", StateIdle, StateQuiescent); err != nil {
+	if err := s.begin("RunProgram", StateIdle); err != nil {
 		return RunResult{}, err
 	}
 	defer s.mu.Unlock()
-	res, err := s.runPhased(p, nil, 0, false)
-	if err == nil {
-		s.state = StateIdle
-		s.current = nil
-	}
+	res, _, err := s.runPhased(p, nil, 0)
 	return res, err
 }
 
-// RunToCheckpoint runs the first afterPhases phases of p, captures an
-// Image at that barrier, and halts the machine. Resume continues from
-// the image. The session is left Quiescent at that barrier, so SaveTo
-// and Suspend apply to the returned image.
-//
-// Deprecation note: RunToCheckpoint predates the stepped lifecycle;
-// Bind + Step(afterPhases) reaches the same barrier and keeps the
-// session steppable afterwards.
-func (s *Session) RunToCheckpoint(p Program, afterPhases int) (*Image, error) {
-	if afterPhases < 1 || afterPhases > p.Phases {
-		return nil, &ProgramError{Msg: fmt.Sprintf("checkpoint barrier %d outside [1,%d]", afterPhases, p.Phases)}
-	}
-	if err := s.beginUnbound("RunToCheckpoint", StateIdle, StateQuiescent); err != nil {
-		return nil, err
-	}
-	defer s.mu.Unlock()
-	_, err := s.runPhased(p, nil, afterPhases, false)
-	if err != nil {
-		return nil, err
-	}
-	n := len(s.checkpoints)
-	if n == 0 {
-		return nil, &ProgramError{Msg: "run ended before the checkpoint barrier"}
-	}
-	s.current = s.checkpoints[n-1]
-	s.pos = s.current.Phase
-	s.state = StateQuiescent
-	return s.current, nil
-}
-
-// Resume continues p from a previously captured image on a fresh
-// machine — typically in a fresh session or process. The session
-// configuration must match the one the image was captured under
-// (machine shape and cost model are validated against the image). The
-// result is bit-identical to the uninterrupted run's: same checksums,
-// same conflict report, same virtual time. A second Resume issued while
-// one is in flight fails with *StateError instead of queueing.
-//
-// Deprecation note: Resume runs the image to completion in one call;
-// BindSuspended/Step is the incremental, store-backed form the serving
-// fabric uses.
-func (s *Session) Resume(img *Image, p Program) (RunResult, error) {
-	if err := s.beginUnbound("Resume", StateIdle, StateQuiescent); err != nil {
-		return RunResult{}, err
-	}
-	defer s.mu.Unlock()
-	res, err := s.runPhased(p, img, 0, false)
-	if err == nil {
-		s.state = StateIdle
-		s.current = nil
-	}
-	return res, err
-}
-
-// runPhased is the shared phased runner; the caller holds s.mu and has
-// validated the lifecycle state. img selects resume; stopAfter (when
-// > 0) checkpoints at that barrier and halts — unless resultAtStop is
-// set and the stop barrier is the final one, in which case the run
-// falls through to Result after capturing (the stepped final slice both
-// checkpoints and answers).
-func (s *Session) runPhased(p Program, img *Image, stopAfter int, resultAtStop bool) (RunResult, error) {
+// runPhased is the phased runner behind RunProgram and Step; the caller
+// holds s.mu and has validated the lifecycle state. It runs phases
+// [start, stop) on a fresh machine, where start is 0 or img.Phase when
+// resuming img. A stop > 0 requests a checkpoint at barrier stop, which
+// is captured and returned once the run crosses it; stop == 0 runs to
+// the end without capturing. Result is computed iff the run reaches
+// p.Phases.
+func (s *Session) runPhased(p Program, img *Image, stop int) (RunResult, *Image, error) {
 	if p.Phases < 0 || (p.Phases > 0 && p.Phase == nil) {
-		return RunResult{}, &ProgramError{Msg: "Phase function missing"}
+		return RunResult{}, nil, &ProgramError{Msg: "Phase function missing"}
 	}
-	wantCk := make(map[int]bool, len(s.cfg.CheckpointAfter))
-	for _, k := range s.cfg.CheckpointAfter {
-		if k > p.Phases {
-			// k >= 1 was validated at session construction; the phase
-			// bound is only known here. Silently ignoring the request
-			// would report "no checkpoints" as success.
-			return RunResult{}, &ProgramError{Msg: fmt.Sprintf(
-				"CheckpointAfter barrier %d outside the program's %d phases", k, p.Phases)}
-		}
-		wantCk[k] = true
-	}
-	if stopAfter > 0 {
-		wantCk[stopAfter] = true
-	}
-	s.checkpoints = nil
 	if img != nil {
 		s.prefix = img.TracePrefix
 		defer func() { s.prefix = nil }()
@@ -576,16 +446,20 @@ func (s *Session) runPhased(p Program, img *Image, stopAfter int, resultAtStop b
 	start := 0
 	if img != nil {
 		if err := m.Restore(img.Kernel); err != nil {
-			return RunResult{}, err
+			return RunResult{}, nil, err
 		}
 		start = img.Phase
 		if start > p.Phases {
-			return RunResult{}, &ProgramError{Msg: fmt.Sprintf("image resumes at phase %d of a %d-phase program", start, p.Phases)}
+			return RunResult{}, nil, &ProgramError{Msg: fmt.Sprintf("image resumes at phase %d of a %d-phase program", start, p.Phases)}
 		}
+	}
+	end := p.Phases
+	if stop > 0 {
+		end = stop
 	}
 
 	var progErr error
-	var images []*Image
+	var captured *Image
 	res := m.Run(func(env *kernel.Env) {
 		var rt *RT
 		if img != nil {
@@ -611,29 +485,25 @@ func (s *Session) runPhased(p Program, img *Image, stopAfter int, resultAtStop b
 				p.Init(rt)
 			}
 		}
-		for ph := start; ph < p.Phases; ph++ {
+		for ph := start; ph < end; ph++ {
 			if err := p.Phase(rt, ph); err != nil {
 				progErr = err
 				return
 			}
-			if wantCk[ph+1] {
-				im, err := s.capture(env, rt, p, ph+1)
-				if err != nil {
-					progErr = err
-					return
-				}
-				images = append(images, im)
-				if stopAfter == ph+1 && !(resultAtStop && stopAfter == p.Phases) {
-					return
-				}
-			}
 		}
-		if p.Result != nil {
+		if stop > start {
+			im, err := s.capture(env, rt, p, stop)
+			if err != nil {
+				progErr = err
+				return
+			}
+			captured = im
+		}
+		if end == p.Phases && p.Result != nil {
 			env.SetRet(p.Result(rt))
 		}
 	}, 0)
-	s.checkpoints = images
-	return res, progErr
+	return res, captured, progErr
 }
 
 // capture takes one checkpoint at a phase barrier: the kernel image of
@@ -675,7 +545,7 @@ type StepResult struct {
 
 // Bind attaches a phased program to the session for stepped execution,
 // leaving it Quiescent at phase 0. A bound session is driven with
-// Step/Suspend/Close; the one-shot entry points refuse it.
+// Step/Suspend/Close; RunProgram refuses it.
 func (s *Session) Bind(p Program) error {
 	if err := s.begin("Bind", StateIdle); err != nil {
 		return err
@@ -686,7 +556,6 @@ func (s *Session) Bind(p Program) error {
 	}
 	s.prog = &p
 	s.current = nil
-	s.checkpoints = nil
 	s.lastManifest = nil
 	s.evictStore = nil
 	s.pos = 0
@@ -712,7 +581,6 @@ func (s *Session) BindSuspended(p Program, store BlobStore, m *Manifest) error {
 	}
 	s.prog = &p
 	s.current = nil
-	s.checkpoints = nil
 	s.lastManifest = m
 	s.evictStore = store
 	s.pos = -1 // unknown until the first Step loads the image
@@ -728,12 +596,13 @@ func (s *Session) BindSuspended(p Program, store BlobStore, m *Manifest) error {
 // session re-derives the same result from the resting image (delivery
 // is idempotent because execution is deterministic).
 //
-// A slice that dies mid-way — a phase panics (the kernel converts the
-// panic into a trap status) or the machine traps — returns that error
-// with the pre-slice checkpoint intact, so a killed worker's slice can
-// simply be re-run; because execution is deterministic, the retry's
-// StepResult.Digest must equal the digest the first attempt would have
-// produced.
+// A slice that dies mid-way — a phase returns an error or panics (the
+// kernel converts the panic into a trap status), or the machine traps —
+// returns that error with the pre-slice checkpoint intact, so a killed
+// worker's slice can simply be re-run; because execution is
+// deterministic, the retry's StepResult.Digest must equal the digest the
+// first attempt would have produced. The failed slice's StepResult
+// carries only Result: the machine result at the failure.
 func (s *Session) Step(budget int) (StepResult, error) {
 	if err := s.begin("Step", StateQuiescent, StateSuspended); err != nil {
 		return StepResult{}, err
@@ -771,8 +640,8 @@ func (s *Session) Step(budget int) (StepResult, error) {
 			panic(r)
 		}
 	}()
-	res, err := s.runPhased(p, img, stop, true)
-	if err == nil && len(s.checkpoints) == 0 && pos < p.Phases {
+	res, captured, err := s.runPhased(p, img, stop)
+	if err == nil && captured == nil && pos < p.Phases {
 		// The machine stopped before the slice's barrier: a phase panicked
 		// (the kernel converts panics into trap statuses) or trapped.
 		err = res.Err
@@ -782,10 +651,10 @@ func (s *Session) Step(budget int) (StepResult, error) {
 	}
 	if err != nil {
 		s.state, s.current = prevState, prevCur
-		return StepResult{}, err
+		return StepResult{Result: res}, err
 	}
-	if n := len(s.checkpoints); n > 0 {
-		s.current = s.checkpoints[n-1]
+	if captured != nil {
+		s.current = captured
 	} else if img != nil {
 		// Re-stepping a finished program: no new barrier was crossed, the
 		// resting image is unchanged.
@@ -812,9 +681,9 @@ func (s *Session) Step(budget int) (StepResult, error) {
 
 // Suspend evicts the session's resting checkpoint into store and drops
 // it from memory, leaving the session Suspended: its only cost until
-// the next Step is the chained manifest. Successive Suspends (and
-// SaveTo) chain, so each eviction stores only chunks new since the
-// previous one.
+// the next Step is the chained manifest. Successive Suspends chain (onto
+// the manifest a BindSuspended session was admitted from, too), so each
+// eviction stores only chunks new since the previous one.
 func (s *Session) Suspend(store BlobStore) (*Manifest, error) {
 	if err := s.begin("Suspend", StateQuiescent); err != nil {
 		return nil, err
@@ -831,7 +700,6 @@ func (s *Session) Suspend(store BlobStore) (*Manifest, error) {
 	s.lastManifest = m
 	s.evictStore = store
 	s.current = nil
-	s.checkpoints = nil
 	s.state = StateSuspended
 	return m, nil
 }
@@ -849,7 +717,6 @@ func (s *Session) Close() error {
 	s.state = StateClosed
 	s.prog = nil
 	s.current = nil
-	s.checkpoints = nil
 	s.log = nil
 	s.prefix = nil
 	return nil
@@ -867,9 +734,8 @@ func (s *Session) Phase() int {
 	return s.pos
 }
 
-// LastManifest returns the most recent manifest this session saved
-// (SaveTo, Suspend) or resumed from (ResumeFrom, BindSuspended), nil
-// when none: the root to protect during store GC and the handle needed
+// LastManifest returns the most recent manifest this session suspended
+// to or was bound to (BindSuspended), nil when none: the root to protect during store GC and the handle needed
 // to re-admit the session elsewhere.
 func (s *Session) LastManifest() *Manifest {
 	s.mu.Lock()

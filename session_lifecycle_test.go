@@ -7,7 +7,9 @@ package repro
 // serving fabric's eviction and failover paths lean on.
 
 import (
+	"bytes"
 	"errors"
+	"io"
 	"sync"
 	"testing"
 )
@@ -18,22 +20,28 @@ func stepOpts() []SessionOption {
 	return []SessionOption{WithMachine(MachineConfig{CPUsPerNode: 4, MergeWorkers: 1})}
 }
 
-// stepToEnd drives a bound session to completion with the given budget
-// and returns the final StepResult.
-func stepToEnd(t *testing.T, s *Session, budget int) StepResult {
+// stepAll steps a bound session budget phases at a time until it
+// finishes or a slice fails, returning the final (or failed) slice.
+func stepAll(t testing.TB, s *Session, budget int) (StepResult, error) {
 	t.Helper()
-	for i := 0; ; i++ {
+	for i := 0; i <= 100; i++ {
 		sr, err := s.Step(budget)
-		if err != nil {
-			t.Fatalf("step %d: %v", i, err)
-		}
-		if sr.Done {
-			return sr
-		}
-		if i > 100 {
-			t.Fatal("program never finished")
+		if err != nil || sr.Done {
+			return sr, err
 		}
 	}
+	t.Fatal("program never finished")
+	return StepResult{}, nil
+}
+
+// stepToEnd is stepAll for a program that must not fail.
+func stepToEnd(t *testing.T, s *Session, budget int) StepResult {
+	t.Helper()
+	sr, err := stepAll(t, s, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sr
 }
 
 func TestSessionStateMachine(t *testing.T) {
@@ -128,10 +136,14 @@ func TestSessionStateErrors(t *testing.T) {
 		}
 		_, err := s.RunProgram(p)
 		asState(t, err, "RunProgram", StateQuiescent)
-		_, err = s.SaveTo(NewMemStore())
-		if err == nil {
-			t.Fatal("SaveTo on a freshly bound session succeeded, want error")
+		if _, err := s.Step(1); err != nil {
+			t.Fatal(err)
 		}
+		if _, err := s.Suspend(NewMemStore()); err != nil {
+			t.Fatal(err)
+		}
+		_, err = s.RunProgram(p)
+		asState(t, err, "RunProgram", StateSuspended)
 	})
 	t.Run("closed", func(t *testing.T) {
 		s := mustSession(t, stepOpts()...)
@@ -143,12 +155,12 @@ func TestSessionStateErrors(t *testing.T) {
 		asState(t, err, "Step", StateClosed)
 		_, err = s.RunProgram(p)
 		asState(t, err, "RunProgram", StateClosed)
-		res := s.Run(func(rt *RT) uint64 { return 0 })
-		asState(t, res.Err, "Run", StateClosed)
+		_, err = s.Suspend(NewMemStore())
+		asState(t, err, "Suspend", StateClosed)
 	})
 	t.Run("mid-run", func(t *testing.T) {
 		// A phase that parks lets the test observe the Running state from
-		// outside: SaveTo and a second run must fail immediately with
+		// outside: Suspend and a second run must fail immediately with
 		// *StateError instead of queueing behind the in-flight run.
 		entered := make(chan struct{})
 		release := make(chan struct{})
@@ -173,10 +185,11 @@ func TestSessionStateErrors(t *testing.T) {
 		if got := s.State(); got != StateRunning {
 			t.Errorf("state mid-run = %v, want Running", got)
 		}
-		_, err := s.SaveTo(NewMemStore())
-		asState(t, err, "SaveTo", StateRunning)
-		_, err = s.Resume(nil, blocked)
-		asState(t, err, "Resume", StateRunning)
+		_, err := s.Suspend(NewMemStore())
+		asState(t, err, "Suspend", StateRunning)
+		_, err = s.RunProgram(blocked)
+		asState(t, err, "RunProgram", StateRunning)
+		asState(t, s.Bind(blocked), "Bind", StateRunning)
 		close(release)
 		wg.Wait()
 	})
@@ -368,4 +381,152 @@ func TestStepResultRedelivery(t *testing.T) {
 	if !again.Done || again.Result != first.Result || again.Digest != first.Digest {
 		t.Fatalf("redelivery differs: first %+v, again %+v", first, again)
 	}
+}
+
+// TestSlicingInvariance is the equivalence contract of the one Session
+// API: for a shared-memory stripe program, a process tree and a recorded
+// device-reading program, over both store backends,
+//   - RunProgram's result equals Bind + Step(b), suspending into the
+//     store after every slice, for every budget b in 1..Phases;
+//   - handing the session to a fresh Session at every barrier (Suspend,
+//     BindSuspended, Step) rests at the same per-barrier digests as one
+//     resident session stepping a phase at a time, and finishes with the
+//     same result, the same console output and — in Record mode — a
+//     trace log equal to the uninterrupted recording.
+func TestSlicingInvariance(t *testing.T) {
+	reg := uprocTestRegistry()
+	cases := []struct {
+		name string
+		opts func(out io.Writer) []SessionOption
+		prog func() Program
+	}{
+		{"stripe",
+			func(out io.Writer) []SessionOption {
+				return []SessionOption{WithMachine(MachineConfig{CPUsPerNode: 4, MergeWorkers: 1})}
+			},
+			func() Program { return arrayProgram(3, 4, 1024, -1, nil) }},
+		{"uproc",
+			func(out io.Writer) []SessionOption {
+				return []SessionOption{WithMachine(MachineConfig{CPUsPerNode: 4}), WithConsole(nil, out)}
+			},
+			func() Program { return uprocTestProgram(reg) }},
+		{"recorded",
+			func(out io.Writer) []SessionOption {
+				return []SessionOption{WithRecord(), WithMachine(MachineConfig{MergeWorkers: 1})}
+			},
+			func() Program { return deviceProgram(3, 4) }},
+	}
+	dir, err := OpenDirStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stores := []struct {
+		name  string
+		store BlobStore
+	}{{"mem", NewMemStore()}, {"dir", dir}}
+
+	for _, c := range cases {
+		var fullOut bytes.Buffer
+		full := mustSession(t, c.opts(&fullOut)...)
+		res, err := full.RunProgram(c.prog())
+		if err != nil || res.Err != nil {
+			t.Fatalf("%s: uninterrupted run: %v / %v", c.name, err, res.Err)
+		}
+		want := keyOf(res, err)
+		wantLog := marshalTrace(t, full.TraceLog())
+		phases := c.prog().Phases
+
+		// Resident, one phase per Step: the reference digests.
+		digests := map[int]ChunkKey{}
+		resident := mustSession(t, c.opts(io.Discard)...)
+		if err := resident.Bind(c.prog()); err != nil {
+			t.Fatal(err)
+		}
+		for {
+			sr, err := resident.Step(1)
+			if err != nil {
+				t.Fatalf("%s: resident step: %v", c.name, err)
+			}
+			digests[sr.Phase] = sr.Digest
+			if sr.Done {
+				break
+			}
+		}
+
+		for _, st := range stores {
+			for b := 1; b <= phases; b++ {
+				s := mustSession(t, c.opts(io.Discard)...)
+				if err := s.Bind(c.prog()); err != nil {
+					t.Fatal(err)
+				}
+				for {
+					sr, err := s.Step(b)
+					if err != nil {
+						t.Fatalf("%s/%s budget %d: %v", c.name, st.name, b, err)
+					}
+					if sr.Done {
+						if got := keyOf(sr.Result, nil); got != want {
+							t.Fatalf("%s/%s budget %d: stepped %+v, want %+v", c.name, st.name, b, got, want)
+						}
+						break
+					}
+					if _, err := s.Suspend(st.store); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+
+			// Hand off to a fresh Session at every barrier.
+			var out bytes.Buffer
+			s := mustSession(t, c.opts(&out)...)
+			if err := s.Bind(c.prog()); err != nil {
+				t.Fatal(err)
+			}
+			for {
+				sr, err := s.Step(1)
+				if err != nil {
+					t.Fatalf("%s/%s handoff: %v", c.name, st.name, err)
+				}
+				if sr.Digest != digests[sr.Phase] {
+					t.Fatalf("%s/%s handoff: digest at barrier %d differs from the resident run", c.name, st.name, sr.Phase)
+				}
+				if sr.Done {
+					if got := keyOf(sr.Result, nil); got != want {
+						t.Fatalf("%s/%s handoff: result %+v, want %+v", c.name, st.name, got, want)
+					}
+					break
+				}
+				m, err := s.Suspend(st.store)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
+				s = mustSession(t, c.opts(&out)...)
+				if err := s.BindSuspended(c.prog(), st.store, m); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !bytes.Equal(out.Bytes(), fullOut.Bytes()) {
+				t.Fatalf("%s/%s handoff: console output %q, uninterrupted %q", c.name, st.name, out.Bytes(), fullOut.Bytes())
+			}
+			if got := marshalTrace(t, s.TraceLog()); !bytes.Equal(got, wantLog) {
+				t.Fatalf("%s/%s handoff: trace log differs from the uninterrupted recording", c.name, st.name)
+			}
+		}
+	}
+}
+
+// marshalTrace serializes a recorded log (nil when not recording).
+func marshalTrace(t *testing.T, l *TraceLog) []byte {
+	t.Helper()
+	if l == nil {
+		return nil
+	}
+	b, err := l.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }

@@ -92,6 +92,68 @@ func roundTripStore(t testing.TB, img *Image) *Image {
 	return img2
 }
 
+// stepAndSuspend drives s for k phases and suspends it into store,
+// returning the new manifest. With from == nil s is bound to p fresh;
+// otherwise it is admitted on the checkpoint from names in store, and
+// the new manifest chains onto it. A slice that fails returns its error.
+func stepAndSuspend(t testing.TB, s *Session, p Program, store BlobStore, from *Manifest, k int) (*Manifest, error) {
+	t.Helper()
+	var err error
+	if from == nil {
+		err = s.Bind(p)
+	} else {
+		err = s.BindSuspended(p, store, from)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Step(k); err != nil {
+		return nil, err
+	}
+	m, err := s.Suspend(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, nil
+}
+
+// checkpointAt runs p's first k phases in a fresh session and returns
+// the image it rests at, read back from the store it was suspended to.
+// A program that fails before barrier k returns that failure.
+func checkpointAt(t testing.TB, opts []SessionOption, p Program, k int) (*Image, error) {
+	t.Helper()
+	store := NewMemStore()
+	m, err := stepAndSuspend(t, mustSession(t, opts...), p, store, nil, k)
+	if err != nil {
+		return nil, err
+	}
+	img, err := LoadImage(store, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img, nil
+}
+
+// resumeImage continues p from img on s as a fresh process would: the
+// image is saved into a new store, s is admitted on its manifest with
+// BindSuspended, and one Step runs every remaining phase.
+func resumeImage(t testing.TB, s *Session, img *Image, p Program) (RunResult, error) {
+	t.Helper()
+	store := NewMemStore()
+	m, err := SaveImage(store, img, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.BindSuspended(p, store, m); err != nil {
+		t.Fatal(err)
+	}
+	sr, err := s.Step(p.Phases)
+	if err == nil && !sr.Done {
+		t.Fatalf("resume rested at barrier %d of %d", sr.Phase, p.Phases)
+	}
+	return sr.Result, err
+}
+
 // checkpointEverywhere verifies the full equivalence contract for a
 // phased program under a session configuration: for every barrier k,
 // running to a checkpoint at k, shipping the image through bytes, and
@@ -103,7 +165,7 @@ func checkpointEverywhere(t *testing.T, opts []SessionOption, p Program) {
 	want := keyOf(res, err)
 
 	for k := 1; k <= p.Phases; k++ {
-		img, err := mustSession(t, opts...).RunToCheckpoint(p, k)
+		img, err := checkpointAt(t, opts, p, k)
 		if err != nil {
 			// A program that fails before barrier k cannot checkpoint
 			// there; the uninterrupted run must have failed identically.
@@ -112,21 +174,20 @@ func checkpointEverywhere(t *testing.T, opts []SessionOption, p Program) {
 			}
 			continue
 		}
-		res, rerr := mustSession(t, opts...).Resume(roundTripStore(t, roundTripImage(t, img)), p)
+		res, rerr := resumeImage(t, mustSession(t, opts...), roundTripStore(t, roundTripImage(t, img)), p)
 		if got := keyOf(res, rerr); got != want {
 			t.Fatalf("resume from barrier %d diverged:\n got %+v\nwant %+v", k, got, want)
 		}
 	}
 
-	// Checkpointing must be a pure observation: capturing an image at
-	// every barrier while running to completion changes nothing.
-	all := make([]int, p.Phases)
-	for i := range all {
-		all[i] = i + 1
+	// Checkpointing must be a pure observation: a run that captures an
+	// image at every barrier (one Step per phase) changes nothing.
+	obs := mustSession(t, opts...)
+	if err := obs.Bind(p); err != nil {
+		t.Fatal(err)
 	}
-	obs := mustSession(t, append(append([]SessionOption{}, opts...), WithCheckpointAfter(all...))...)
-	res2, err2 := obs.RunProgram(p)
-	if got := keyOf(res2, err2); got != want {
+	sr, err := stepAll(t, obs, 1)
+	if got := keyOf(sr.Result, err); got != want {
 		t.Fatalf("checkpointing run diverged:\n got %+v\nwant %+v", got, want)
 	}
 }
@@ -308,11 +369,11 @@ func TestSessionCheckpointResumeDsched(t *testing.T) {
 	}
 	want := keyOf(res, err)
 	for k := 1; k <= p.Phases; k++ {
-		img, err := sess().RunToCheckpoint(p, k)
+		img, err := checkpointAt(t, opts, p, k)
 		if err != nil {
 			t.Fatalf("checkpoint at %d: %v", k, err)
 		}
-		res, rerr := sess().Resume(roundTripImage(t, img), p)
+		res, rerr := resumeImage(t, sess(), roundTripImage(t, img), p)
 		if got := keyOf(res, rerr); got != want {
 			t.Fatalf("dsched resume from barrier %d diverged:\n got %+v\nwant %+v", k, got, want)
 		}
@@ -351,7 +412,8 @@ func deviceProgram(threads, phases int) Program {
 }
 
 func TestSessionCheckpointResumeRecordedTrace(t *testing.T) {
-	mk := func() *Session { return mustSession(t, WithRecord(), WithMachine(MachineConfig{MergeWorkers: 1})) }
+	opts := []SessionOption{WithRecord(), WithMachine(MachineConfig{MergeWorkers: 1})}
+	mk := func() *Session { return mustSession(t, opts...) }
 	p := deviceProgram(3, 4)
 
 	full := mk()
@@ -366,8 +428,7 @@ func TestSessionCheckpointResumeRecordedTrace(t *testing.T) {
 	}
 
 	for k := 1; k <= p.Phases; k++ {
-		ck := mk()
-		img, err := ck.RunToCheckpoint(p, k)
+		img, err := checkpointAt(t, opts, p, k)
 		if err != nil {
 			t.Fatalf("checkpoint at %d: %v", k, err)
 		}
@@ -375,7 +436,7 @@ func TestSessionCheckpointResumeRecordedTrace(t *testing.T) {
 			t.Fatalf("record-mode image at %d carries no trace prefix", k)
 		}
 		resumed := mk()
-		res, rerr := resumed.Resume(roundTripImage(t, img), p)
+		res, rerr := resumeImage(t, resumed, roundTripImage(t, img), p)
 		if got := keyOf(res, rerr); got != want {
 			t.Fatalf("recorded resume from %d diverged:\n got %+v\nwant %+v", k, got, want)
 		}
@@ -395,14 +456,12 @@ func TestSessionCheckpointResumeRecordedTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mkReplay := func() *Session {
-		return mustSession(t, WithReplay(restored), WithMachine(MachineConfig{MergeWorkers: 1}))
-	}
-	img, err := mkReplay().RunToCheckpoint(p, 2)
+	replayOpts := []SessionOption{WithReplay(restored), WithMachine(MachineConfig{MergeWorkers: 1})}
+	img, err := checkpointAt(t, replayOpts, p, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, rerr := mkReplay().Resume(roundTripImage(t, img), p)
+	res, rerr := resumeImage(t, mustSession(t, replayOpts...), roundTripImage(t, img), p)
 	if got := keyOf(res, rerr); got != want {
 		t.Fatalf("replayed resume diverged:\n got %+v\nwant %+v", got, want)
 	}
@@ -420,11 +479,12 @@ func TestSessionCheckpointResumeConsoleSplice(t *testing.T) {
 		}
 		return string(b)
 	}
-	mk := func() *Session {
-		return mustSession(t, WithRecord(),
+	opts := func() []SessionOption {
+		return []SessionOption{WithRecord(),
 			WithConsole(strings.NewReader(input()), nil),
-			WithMachine(MachineConfig{MergeWorkers: 1}))
+			WithMachine(MachineConfig{MergeWorkers: 1})}
 	}
+	mk := func() *Session { return mustSession(t, opts()...) }
 	var cell Addr
 	p := Program{
 		Phases: 3,
@@ -464,12 +524,12 @@ func TestSessionCheckpointResumeConsoleSplice(t *testing.T) {
 	}
 
 	for k := 1; k <= p.Phases; k++ {
-		img, err := mk().RunToCheckpoint(p, k)
+		img, err := checkpointAt(t, opts(), p, k)
 		if err != nil {
 			t.Fatalf("checkpoint at %d: %v", k, err)
 		}
 		resumed := mk()
-		res, rerr := resumed.Resume(roundTripImage(t, img), p)
+		res, rerr := resumeImage(t, resumed, roundTripImage(t, img), p)
 		if got := keyOf(res, rerr); got != want {
 			t.Fatalf("console resume from %d diverged:\n got %+v\nwant %+v", k, got, want)
 		}
@@ -514,14 +574,14 @@ func TestSessionCheckpointResumeProperty(t *testing.T) {
 		res, err := mustSession(t, opts...).RunProgram(p)
 		want := keyOf(res, err)
 		k := 1 + rng.Intn(phases) // random barrier
-		img, err := mustSession(t, opts...).RunToCheckpoint(p, k)
+		img, err := checkpointAt(t, opts, p, k)
 		if err != nil {
 			if want.ErrStr == "" || err.Error() != want.ErrStr {
 				t.Fatalf("iter %d: checkpoint failed %v, uninterrupted %q", it, err, want.ErrStr)
 			}
 			continue
 		}
-		res, rerr := mustSession(t, opts...).Resume(roundTripImage(t, img), p)
+		res, rerr := resumeImage(t, mustSession(t, opts...), roundTripImage(t, img), p)
 		if got := keyOf(res, rerr); got != want {
 			t.Fatalf("iter %d (threads=%d phases=%d nodes=%d tree=%v conflict=%d ck=%d) diverged:\n got %+v\nwant %+v",
 				it, threads, phases, nodes, tree, conflictAt, k, got, want)
@@ -532,8 +592,8 @@ func TestSessionCheckpointResumeProperty(t *testing.T) {
 // --- image format and API-surface tests --------------------------------------
 
 func TestSessionImageRoundTripAndRejects(t *testing.T) {
-	img, err := mustSession(t, WithMachine(MachineConfig{MergeWorkers: 1})).
-		RunToCheckpoint(arrayProgram(2, 2, 128, -1, nil), 1)
+	img, err := checkpointAt(t, []SessionOption{WithMachine(MachineConfig{MergeWorkers: 1})},
+		arrayProgram(2, 2, 128, -1, nil), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -561,8 +621,8 @@ func TestSessionImageRoundTripAndRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	var mm *ImageMismatchError
-	_, err = mustSession(t, WithMachine(MachineConfig{Nodes: 2, MergeWorkers: 1})).
-		Resume(img2, arrayProgram(2, 2, 128, -1, nil))
+	_, err = resumeImage(t, mustSession(t, WithMachine(MachineConfig{Nodes: 2, MergeWorkers: 1})),
+		img2, arrayProgram(2, 2, 128, -1, nil))
 	if !errors.As(err, &mm) {
 		t.Fatalf("mismatched resume: got %v, want *ImageMismatchError", err)
 	}
@@ -585,16 +645,6 @@ func TestSessionConfigValidation(t *testing.T) {
 	}
 	if _, err := NewSession(WithRecord(), WithReplay(&TraceLog{})); !errors.As(err, &ce) {
 		t.Fatalf("record+replay: %v", err)
-	}
-	if _, err := NewSession(WithCheckpointAfter(0)); !errors.As(err, &ce) {
-		t.Fatalf("bad barrier: %v", err)
-	}
-	// A barrier beyond the program's phase count is only detectable at
-	// run time; it must fail loudly, not silently capture nothing.
-	var pe *ProgramError
-	s := mustSession(t, WithCheckpointAfter(7))
-	if _, err := s.RunProgram(arrayProgram(2, 3, 64, -1, nil)); !errors.As(err, &pe) {
-		t.Fatalf("out-of-range CheckpointAfter: %v, want *ProgramError", err)
 	}
 }
 
@@ -642,8 +692,20 @@ func TestLegacyWrapperValidation(t *testing.T) {
 	}
 }
 
-// Session.Run honors the composed configuration the free functions used
-// to take separately: record/replay through the session reproduces runs.
+// runMain runs main as a zero-phase program: the session form of the
+// package-level Run.
+func runMain(t *testing.T, s *Session, main func(rt *RT) uint64) RunResult {
+	t.Helper()
+	res, err := s.RunProgram(Program{Result: main})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// A session run honors the composed configuration the free functions
+// used to take separately: record/replay through the session reproduces
+// runs.
 func TestSessionRunRecordReplay(t *testing.T) {
 	prog := func(rt *RT) uint64 {
 		h := uint64(7)
@@ -653,7 +715,7 @@ func TestSessionRunRecordReplay(t *testing.T) {
 		return h
 	}
 	rec := mustSession(t, WithRecord())
-	res1 := rec.Run(prog)
+	res1 := runMain(t, rec, prog)
 	if res1.Err != nil {
 		t.Fatal(res1.Err)
 	}
@@ -661,7 +723,7 @@ func TestSessionRunRecordReplay(t *testing.T) {
 		t.Fatalf("recorded %d rand readings, want 5", got)
 	}
 	rep := mustSession(t, WithReplay(rec.TraceLog()))
-	res2 := rep.Run(prog)
+	res2 := runMain(t, rep, prog)
 	if res2.Ret != res1.Ret || res2.VT != res1.VT {
 		t.Fatalf("replayed session diverged: %+v vs %+v", res2, res1)
 	}
@@ -670,7 +732,7 @@ func TestSessionRunRecordReplay(t *testing.T) {
 func TestSessionConsole(t *testing.T) {
 	var out strings.Builder
 	s := mustSession(t, WithConsole(strings.NewReader("ping"), &out))
-	res := s.Run(func(rt *RT) uint64 {
+	res := runMain(t, s, func(rt *RT) uint64 {
 		buf := make([]byte, 16)
 		n := rt.Env().ConsoleRead(buf)
 		rt.Env().ConsoleWrite([]byte("got:" + string(buf[:n])))

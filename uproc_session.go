@@ -19,8 +19,8 @@ type UprocPhase func(p *Proc) error
 
 // UprocProgram adapts a Unix process tree (internal/uproc) to the
 // Session's phased Program form, making process-tree runs checkpointable
-// with the same machinery as shared-memory programs: RunToCheckpoint,
-// Resume, SaveTo and ResumeFrom all work on the result.
+// with the same machinery as shared-memory programs: Bind, Step,
+// Suspend and BindSuspended all work on the result, as does RunProgram.
 //
 // A fresh run creates the init process (formatting the file system and
 // console files) before the first phase; a resumed run reattaches it

@@ -91,12 +91,12 @@ func TestUprocProgramCheckpointEverywhere(t *testing.T) {
 	prog := uprocTestProgram(reg)
 	for k := 1; k <= prog.Phases; k++ {
 		var outA, outB bytes.Buffer
-		img, err := mustSession(t, WithConsole(nil, &outA)).RunToCheckpoint(uprocTestProgram(reg), k)
+		img, err := checkpointAt(t, []SessionOption{WithConsole(nil, &outA)}, uprocTestProgram(reg), k)
 		if err != nil {
-			t.Fatalf("barrier %d: RunToCheckpoint: %v", k, err)
+			t.Fatalf("barrier %d: checkpoint: %v", k, err)
 		}
 		img = roundTripStore(t, roundTripImage(t, img))
-		res, err := mustSession(t, WithConsole(nil, &outB)).Resume(img, uprocTestProgram(reg))
+		res, err := resumeImage(t, mustSession(t, WithConsole(nil, &outB)), img, uprocTestProgram(reg))
 		if got := keyOf(res, err); got != want {
 			t.Fatalf("barrier %d: resumed result %+v, uninterrupted %+v", k, got, want)
 		}
@@ -105,49 +105,6 @@ func TestUprocProgramCheckpointEverywhere(t *testing.T) {
 			t.Fatalf("barrier %d: console output %q + %q != uninterrupted %q",
 				k, outA.Bytes(), outB.Bytes(), full.Bytes())
 		}
-	}
-}
-
-// TestUprocProgramSaveToResumeFrom checkpoints a process tree, persists
-// it through SaveTo on a DirStore, and resumes from the manifest in a
-// fresh session — the uproc version of the store-backed lifecycle.
-func TestUprocProgramSaveToResumeFrom(t *testing.T) {
-	reg := uprocTestRegistry()
-
-	var full bytes.Buffer
-	res, err := mustSession(t, WithConsole(nil, &full)).RunProgram(uprocTestProgram(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := keyOf(res, err)
-
-	store, err := OpenDirStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var outA bytes.Buffer
-	sA := mustSession(t, WithConsole(nil, &outA))
-	if _, err := sA.RunToCheckpoint(uprocTestProgram(reg), 2); err != nil {
-		t.Fatal(err)
-	}
-	m, err := sA.SaveTo(store)
-	if err != nil {
-		t.Fatalf("SaveTo: %v", err)
-	}
-
-	m2, err := LoadManifest(store, m.Key())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var outB bytes.Buffer
-	sB := mustSession(t, WithConsole(nil, &outB))
-	res, err = sB.ResumeFrom(store, m2, uprocTestProgram(reg))
-	if got := keyOf(res, err); got != want {
-		t.Fatalf("resumed result %+v, uninterrupted %+v", got, want)
-	}
-	joined := append(append([]byte(nil), outA.Bytes()...), outB.Bytes()...)
-	if !bytes.Equal(joined, full.Bytes()) {
-		t.Fatalf("console output %q + %q != uninterrupted %q", outA.Bytes(), outB.Bytes(), full.Bytes())
 	}
 }
 
@@ -163,10 +120,10 @@ func TestUprocCheckpointRejectsUncollectedChildren(t *testing.T) {
 			return err // returns with the child uncollected
 		},
 	})
-	_, err := mustSession(t).RunToCheckpoint(prog, 1)
+	_, err := checkpointAt(t, nil, prog, 1)
 	var se *UprocStateError
 	if !errors.As(err, &se) {
-		t.Fatalf("RunToCheckpoint with uncollected child: %v, want *UprocStateError", err)
+		t.Fatalf("checkpoint with uncollected child: %v, want *UprocStateError", err)
 	}
 }
 
@@ -175,13 +132,13 @@ func TestUprocCheckpointRejectsUncollectedChildren(t *testing.T) {
 // to memory that holds no file system.
 func TestUprocResumeRejectsForeignImage(t *testing.T) {
 	reg := uprocTestRegistry()
-	img, err := mustSession(t).RunToCheckpoint(uprocTestProgram(reg), 1)
+	img, err := checkpointAt(t, nil, uprocTestProgram(reg), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	img = roundTripImage(t, img)
 	delete(img.User, "uproc")
-	_, err = mustSession(t).Resume(img, uprocTestProgram(reg))
+	_, err = resumeImage(t, mustSession(t), img, uprocTestProgram(reg))
 	var se *UprocStateError
 	if !errors.As(err, &se) {
 		t.Fatalf("resume without uproc section: %v, want *UprocStateError", err)
