@@ -44,6 +44,51 @@ func sparseProgram(phases, pages, dirtyPages int, salt uint64) Program {
 	}
 }
 
+func TestSaveToResumeFromBothBackends(t *testing.T) {
+	// Suspend into each store backend, reload the manifest from its bytes
+	// as a fresh process would, and resume in a fresh session: the result
+	// must equal the uninterrupted run's.
+	p := sparseProgram(3, 64, 4, 0)
+	opts := []SessionOption{WithMachine(MachineConfig{CPUsPerNode: 2, MergeWorkers: 1})}
+	res, err := mustSession(t, opts...).RunProgram(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := keyOf(res, err)
+
+	dir, err := OpenDirStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, store := range map[string]BlobStore{"mem": NewMemStore(), "dir": dir} {
+		m, err := stepAndSuspend(t, mustSession(t, opts...), p, store, nil, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		m2, err := DecodeManifest(m.Bytes())
+		if err != nil {
+			t.Fatalf("%s: DecodeManifest: %v", name, err)
+		}
+		if m2.Key() != m.Key() {
+			t.Fatalf("%s: manifest key changed across serialization", name)
+		}
+		sess := mustSession(t, opts...)
+		if err := sess.BindSuspended(p, store, m2); err != nil {
+			t.Fatalf("%s: BindSuspended: %v", name, err)
+		}
+		sr, err := sess.Step(p.Phases)
+		if err != nil {
+			t.Fatalf("%s: resumed step: %v", name, err)
+		}
+		if !sr.Done {
+			t.Fatalf("%s: resumed step stopped at phase %d of %d", name, sr.Phase, p.Phases)
+		}
+		if got := keyOf(sr.Result, nil); got != want {
+			t.Fatalf("%s: store-backed resume diverged:\n got %+v\nwant %+v", name, got, want)
+		}
+	}
+}
+
 func TestManifestChainStoresIncrementally(t *testing.T) {
 	// Suspend after phase 1 (all 256 pages fresh), step on to phase 2 (4
 	// pages dirtied) and suspend again on the same session: the second

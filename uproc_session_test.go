@@ -108,6 +108,56 @@ func TestUprocProgramCheckpointEverywhere(t *testing.T) {
 	}
 }
 
+// TestUprocProgramSaveToResumeFrom suspends a process tree into a
+// directory store at barrier 2, reloads the manifest by key and resumes
+// in a fresh session: the result and the joined console output of the
+// two sessions must equal the uninterrupted run's.
+func TestUprocProgramSaveToResumeFrom(t *testing.T) {
+	reg := uprocTestRegistry()
+
+	var full bytes.Buffer
+	res, err := mustSession(t, WithConsole(nil, &full)).RunProgram(uprocTestProgram(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := keyOf(res, err)
+
+	store, err := OpenDirStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var outA bytes.Buffer
+	m, err := stepAndSuspend(t, mustSession(t, WithConsole(nil, &outA)), uprocTestProgram(reg), store, nil, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	m2, err := LoadManifest(store, m.Key())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var outB bytes.Buffer
+	sB := mustSession(t, WithConsole(nil, &outB))
+	prog := uprocTestProgram(reg)
+	if err := sB.BindSuspended(prog, store, m2); err != nil {
+		t.Fatalf("BindSuspended: %v", err)
+	}
+	sr, err := sB.Step(prog.Phases)
+	if err != nil {
+		t.Fatalf("resumed step: %v", err)
+	}
+	if !sr.Done {
+		t.Fatalf("resumed step stopped at phase %d of %d", sr.Phase, prog.Phases)
+	}
+	if got := keyOf(sr.Result, nil); got != want {
+		t.Fatalf("resumed result %+v, uninterrupted %+v", got, want)
+	}
+	joined := append(append([]byte(nil), outA.Bytes()...), outB.Bytes()...)
+	if !bytes.Equal(joined, full.Bytes()) {
+		t.Fatalf("console output %q + %q != uninterrupted %q", outA.Bytes(), outB.Bytes(), full.Bytes())
+	}
+}
+
 // TestUprocCheckpointRejectsUncollectedChildren: a phase that returns
 // with a forked-but-unwaited child cannot reach a checkpoint barrier —
 // the child's Go-side closure cannot cross an image — and the failure is
