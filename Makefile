@@ -8,7 +8,9 @@ GO ?= go
 # build artifact so the perf trajectory is downloadable per run.
 BENCH_OUT ?= BENCH_pr10.json
 
-.PHONY: build test race examples bench bench-smoke bench-json vet fmt-check staticcheck detlint ci
+FUZZTIME ?= 10s
+
+.PHONY: build test race examples fuzz bench bench-smoke bench-json vet fmt-check staticcheck detlint ci
 
 build:
 	$(GO) build ./...
@@ -37,6 +39,20 @@ examples:
 	@set -e; for d in examples/*/; do \
 		echo "== $$d"; \
 		$(GO) run ./$$d; \
+	done
+
+# Runs every Fuzz* target in the module for FUZZTIME each (one package
+# and target per `go test -fuzz` run, as the fuzzer requires). `make
+# test` already replays each target's committed seeds under
+# testdata/fuzz; this explores beyond them. A failing input is written
+# to that testdata directory, ready to commit as a regression seed.
+fuzz:
+	@set -e; $(GO) list -f '{{.ImportPath}} {{.Dir}}' ./... | while read -r pkg dir; do \
+		grep -qs '^func Fuzz' "$$dir"/*_test.go || continue; \
+		for f in $$($(GO) test -list '^Fuzz' "$$pkg" | grep '^Fuzz'); do \
+			echo "== $$pkg $$f"; \
+			$(GO) test -run='^$$' -fuzz="^$$f$$" -fuzztime=$(FUZZTIME) "$$pkg"; \
+		done; \
 	done
 
 # Full-size experiment tables (slow); see also `go run ./cmd/detbench`.
@@ -72,7 +88,7 @@ staticcheck:
 detlint:
 	$(GO) run ./cmd/detlint ./...
 
-ci: build vet fmt-check detlint test race examples bench-smoke bench-json
+ci: build vet fmt-check detlint test race examples fuzz bench-smoke bench-json
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		$(MAKE) staticcheck; \
 	else \

@@ -24,6 +24,9 @@ type DirStore struct {
 
 	mu    sync.Mutex
 	stats StoreStats // traffic counters only; contents come from the FS
+
+	encMu sync.Mutex // serializes encodes: guards the codec's writer
+	codec codec
 }
 
 // OpenDirStore opens (creating if needed) an on-disk store rooted at dir.
@@ -63,7 +66,9 @@ func (s *DirStore) Put(key Key, b []byte) error {
 	if err != nil {
 		return fmt.Errorf("castore: put %s: %w", key, err)
 	}
-	enc := encodeBlob(b)
+	s.encMu.Lock()
+	enc := s.codec.encode(b)
+	s.encMu.Unlock()
 	if _, err := tmp.Write(enc); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
@@ -89,7 +94,7 @@ func (s *DirStore) Get(key Key) ([]byte, error) {
 		}
 		return nil, fmt.Errorf("castore: get %s: %w", key, err)
 	}
-	b, err := decodeBlob(key, enc)
+	b, err := s.codec.decode(key, enc)
 	if err != nil {
 		return nil, err
 	}
@@ -117,7 +122,7 @@ func (s *DirStore) Stat(key Key) (BlobInfo, error) {
 		}
 		return BlobInfo{}, fmt.Errorf("castore: stat %s: %w", key, err)
 	}
-	b, err := decodeBlob(key, enc)
+	b, err := s.codec.decode(key, enc)
 	if err != nil {
 		return BlobInfo{}, err
 	}

@@ -8,12 +8,14 @@ import (
 
 // MemStore is the in-memory BlobStore backend: a map of codec-encoded
 // chunks guarded by a mutex. It is the store of choice for tests, for
-// benches, and for session eviction inside one process.
+// benches, and for session eviction inside one process. Puts encode
+// under mu, which therefore also guards the codec's writer.
 type MemStore struct {
 	mu     sync.Mutex
 	chunks map[Key][]byte // codec-encoded
 	sizes  map[Key]int    // uncompressed sizes
 	stats  StoreStats
+	codec  codec
 }
 
 // NewMemStore returns an empty in-memory store.
@@ -31,7 +33,7 @@ func (s *MemStore) Put(key Key, b []byte) error {
 		s.stats.DupPuts++
 		return nil
 	}
-	s.chunks[key] = encodeBlob(b)
+	s.chunks[key] = s.codec.encode(b)
 	s.sizes[key] = len(b)
 	return nil
 }
@@ -44,7 +46,7 @@ func (s *MemStore) Get(key Key) ([]byte, error) {
 	if !ok {
 		return nil, &ChunkMissingError{Key: key}
 	}
-	b, err := decodeBlob(key, enc)
+	b, err := s.codec.decode(key, enc)
 	if err != nil {
 		return nil, err
 	}
