@@ -8,8 +8,6 @@ GO ?= go
 # build artifact so the perf trajectory is downloadable per run.
 BENCH_OUT ?= BENCH_pr10.json
 
-FUZZTIME ?= 10s
-
 .PHONY: build test race examples fuzz bench bench-smoke bench-json vet fmt-check staticcheck detlint ci
 
 build:
@@ -41,7 +39,7 @@ examples:
 		$(GO) run ./$$d; \
 	done
 
-# Runs every Fuzz* target in the module for FUZZTIME each (one package
+# Runs every Fuzz* target in the module for 10s each (one package
 # and target per `go test -fuzz` run, as the fuzzer requires). `make
 # test` already replays each target's committed seeds under
 # testdata/fuzz; this explores beyond them. A failing input is written
@@ -51,7 +49,7 @@ fuzz:
 		grep -qs '^func Fuzz' "$$dir"/*_test.go || continue; \
 		for f in $$($(GO) test -list '^Fuzz' "$$pkg" | grep '^Fuzz'); do \
 			echo "== $$pkg $$f"; \
-			$(GO) test -run='^$$' -fuzz="^$$f$$" -fuzztime=$(FUZZTIME) "$$pkg"; \
+			$(GO) test -run='^$$' -fuzz="^$$f$$" -fuzztime=10s "$$pkg"; \
 		done; \
 	done
 

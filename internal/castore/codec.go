@@ -161,6 +161,17 @@ func (c *codec) decode(key Key, stored []byte) ([]byte, error) {
 	}
 }
 
+// get is decode plus the re-hash Get promises. A decoded zero record
+// has already been checked against key, so only the other forms are
+// hashed again.
+func (c *codec) get(key Key, stored []byte) ([]byte, error) {
+	b, err := c.decode(key, stored)
+	if err != nil || stored[0] == codecZero {
+		return b, err
+	}
+	return verifyGet(key, b)
+}
+
 // zeroKey is KeyOf(make([]byte, n)), streamed from c.zeros so a hostile
 // length costs hashing time but no memory.
 func (c *codec) zeroKey(n uint32) Key {

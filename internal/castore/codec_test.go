@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -197,8 +198,10 @@ func compressiblePage(i int) []byte {
 // TestCodecAllocationBound: once a store has encoded its first chunk,
 // a Put or Get of a compressible page allocates about its own size, not
 // a new flate writer (about 1.2 MB) or reader (about 40 KB) each time.
+// Get's bound sits below one reader, so a Get that builds a fresh
+// reader fails it.
 func TestCodecAllocationBound(t *testing.T) {
-	const pages, bound = 100, 64 << 10
+	const pages, putBound, getBound = 100, 64 << 10, 16 << 10
 	s := NewMemStore()
 	warm := compressiblePage(-1)
 	if err := s.Put(KeyOf(warm), warm); err != nil {
@@ -228,8 +231,12 @@ func TestCodecAllocationBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if put/pages >= bound || get/pages >= bound {
-		t.Fatalf("per call: Put allocated %d bytes, Get %d; want both < %d", put/pages, get/pages, bound)
+	t.Logf("per call: Put allocated %d bytes, Get %d", put/pages, get/pages)
+	if put/pages >= putBound {
+		t.Fatalf("Put allocated %d bytes per call, want < %d", put/pages, putBound)
+	}
+	if get/pages >= getBound {
+		t.Fatalf("Get allocated %d bytes per call, want < %d", get/pages, getBound)
 	}
 }
 
@@ -306,6 +313,27 @@ func BenchmarkCodecPutGet(b *testing.B) {
 	}
 }
 
+// BenchmarkDirStorePutParallel measures Puts of new compressible pages
+// from parallel goroutines into one DirStore, whose encodes take turns
+// on the store's one writer.
+func BenchmarkDirStorePutParallel(b *testing.B) {
+	s, err := OpenDirStore(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var next atomic.Int64
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			p := compressiblePage(int(next.Add(1)))
+			if err := s.Put(KeyOf(p), p); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+}
+
 // FuzzDecodeBlob plants arbitrary bytes as the stored form of a chunk
 // and reads it back. Get must return bytes that hash to the key or a
 // *ChunkHashError, never panic, and allocate no more than the record
@@ -324,11 +352,13 @@ func FuzzDecodeBlob(f *testing.F) {
 			key = KeyOf([]byte(keyHex))
 		}
 		// Checking a zero record hashes the zeros it claims, so its cost
-		// is linear in the claim. Claims past the hostile seed's 64 MiB
-		// fold below 1 MiB, or a 4 GiB claim stalls a worker for seconds.
+		// is linear in the claim: a 64 MiB claim takes tens of ms per
+		// store, so a fuzzer minimizing one runs a few execs a second.
+		// Claims past 3 MiB fold into [2, 3) MiB, still past the
+		// allocation limit below.
 		if len(stored) == 5 && stored[0] == codecZero {
-			if n := binary.LittleEndian.Uint32(stored[1:]); n > 1<<26 {
-				stored = binary.LittleEndian.AppendUint32([]byte{codecZero}, n%(1<<20))
+			if n := binary.LittleEndian.Uint32(stored[1:]); n >= 3<<20 {
+				stored = binary.LittleEndian.AppendUint32([]byte{codecZero}, 2<<20+n%(1<<20))
 			}
 		}
 		for _, s := range []Store{mem, dir} {

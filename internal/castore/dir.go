@@ -94,11 +94,7 @@ func (s *DirStore) Get(key Key) ([]byte, error) {
 		}
 		return nil, fmt.Errorf("castore: get %s: %w", key, err)
 	}
-	b, err := s.codec.decode(key, enc)
-	if err != nil {
-		return nil, err
-	}
-	return verifyGet(key, b)
+	return s.codec.get(key, enc)
 }
 
 // Has reports whether the store holds key.

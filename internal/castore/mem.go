@@ -46,11 +46,7 @@ func (s *MemStore) Get(key Key) ([]byte, error) {
 	if !ok {
 		return nil, &ChunkMissingError{Key: key}
 	}
-	b, err := s.codec.decode(key, enc)
-	if err != nil {
-		return nil, err
-	}
-	return verifyGet(key, b)
+	return s.codec.get(key, enc)
 }
 
 // Has reports whether the store holds key.
