@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"bytes"
 	"fmt"
 	"time"
 
@@ -15,16 +14,17 @@ import (
 // and save/restore wall time versus shared-region size and the fraction
 // of the region a round of threads actually dirties. Each row runs a
 // phased fork/join workload, checkpoints at a mid-run barrier, ships the
-// image through the content-addressed chunk store (split, chunk,
-// unchunk, join — asserted byte-identical), restores the rebuilt image
-// into a fresh machine, resumes, and asserts the resumed result and
-// virtual time are bit-identical to the uninterrupted run — the sweep
-// doubles as an end-to-end equivalence check of the chunked path.
+// memory forest through the content-addressed chunk store (chunk,
+// unchunk — asserted equal to the captured forest), restores the
+// metadata over the read-back forest into a fresh machine, resumes, and
+// asserts the resumed result and virtual time are bit-identical to the
+// uninterrupted run — the sweep doubles as an end-to-end equivalence
+// check of the store path.
 //
-// The flat image is delta-shaped by construction: every page is emitted
+// A capture is delta-shaped by construction: every page is recorded
 // once, however many spaces share it copy-on-write. The chunk columns
 // measure the store layer on top of that: unique content-addressed
-// bytes (chunk-kb), how much the flat forest deduplicated into them
+// bytes (chunk-kb), how much the capture deduplicated into them
 // (dedup), and what zero-elision plus flate left on disk (comp-kb).
 //
 // The Δ2 rows chain a second checkpoint after a round that dirties only
@@ -57,7 +57,7 @@ func Ckpt(o Options) Table {
 				panic(fmt.Sprintf("bench: ckpt workload: %v", want.Err))
 			}
 
-			var img []byte
+			var img ckptImage
 			var saveDur time.Duration
 			ckRes := w.run(cfg, 0, nil, func(env *kernel.Env, after int) bool {
 				if after != stopAt {
@@ -65,7 +65,7 @@ func Ckpt(o Options) Table {
 				}
 				start := time.Now()
 				var err error
-				img, err = env.Checkpoint(kernel.CheckpointOpts{})
+				img.meta, img.forest, err = env.Checkpoint(kernel.CheckpointOpts{})
 				saveDur = time.Since(start)
 				if err != nil {
 					panic(fmt.Sprintf("bench: ckpt save: %v", err))
@@ -76,13 +76,13 @@ func Ckpt(o Options) Table {
 				panic(fmt.Sprintf("bench: ckpt save run: %v", ckRes.Err))
 			}
 
-			// Ship the image through the chunk store and rebuild it.
+			// Ship the forest through the chunk store and read it back.
 			store := castore.NewMemStore()
-			joined, st := chunkRoundTrip(store, img, castore.Key{})
+			back, _, st := chunkRoundTrip(store, img.forest, castore.Key{})
 
 			m := kernel.New(cfg)
 			start := time.Now()
-			if err := m.Restore(joined); err != nil {
+			if err := m.Restore(img.meta, back); err != nil {
 				panic(fmt.Sprintf("bench: ckpt restore: %v", err))
 			}
 			restoreDur := time.Since(start)
@@ -91,10 +91,10 @@ func Ckpt(o Options) Table {
 
 			dirtyMB := float64(region) * float64(frac) / 100 / (1 << 20)
 			t.AddRow(fmt.Sprintf("%dM", region>>20), iv(int64(frac)),
-				iv(int64(len(img)>>10)),
-				f2(float64(len(img)>>10)/dirtyMB),
+				iv(int64(img.size()>>10)),
+				f2(float64(img.size()>>10)/dirtyMB),
 				iv(int64(st.LogicalSize>>10)),
-				f2(float64(len(img))/float64(st.LogicalSize)),
+				f2(float64(img.size())/float64(st.LogicalSize)),
 				iv(int64(st.StoredSize>>10)),
 				f2(float64(st.StoredSize)/1024/dirtyMB),
 				ms(float64(saveDur.Microseconds())/1000),
@@ -107,7 +107,7 @@ func Ckpt(o Options) Table {
 		// first. The chunk columns report only what the delta added.
 		t.AddRow(ckptDeltaRow(region, threads)...)
 	}
-	t.Note("img-kb is the serialized machine image (all replicas and snapshots, unique pages once);")
+	t.Note("img-kb is the captured machine image, metadata plus forest (all replicas and snapshots, unique pages once);")
 	t.Note("kb/dirty-mb normalizes by the bytes a round actually dirties. chunk-kb is the unique")
 	t.Note("content-addressed bytes after dedup (dedup = img-bytes/chunk-bytes), comp-kb what")
 	t.Note("zero-elision+flate stored. Δ2 rows chain a 2%%-dirty second checkpoint onto a full one;")
@@ -116,43 +116,36 @@ func Ckpt(o Options) Table {
 	return t
 }
 
-// chunkRoundTrip splits img, chunks the forest into store (chained onto
-// parent when non-zero), asserts the unchunked forest rejoins to the
-// exact original image, and returns the rebuilt image, the store stats
-// after the chunking, and the forest root.
-func chunkRoundTrip(store *castore.MemStore, img []byte, parent castore.Key) ([]byte, castore.StoreStats) {
-	joined, _, st := chunkRoundTripRoot(store, img, parent)
-	return joined, st
+// ckptImage is one machine capture: the kernel metadata image and the
+// memory forest.
+type ckptImage struct {
+	meta   []byte
+	forest *vm.Forest
 }
 
-func chunkRoundTripRoot(store *castore.MemStore, img []byte, parent castore.Key) ([]byte, castore.Key, castore.StoreStats) {
-	meta, forest, err := kernel.SplitImage(img)
-	if err != nil {
-		panic(fmt.Sprintf("bench: ckpt split: %v", err))
-	}
+// size is the capture's payload in bytes: metadata plus forest.
+func (c ckptImage) size() int { return len(c.meta) + c.forest.Size() }
+
+// chunkRoundTrip chunks forest into store (chained onto parent when
+// non-zero), asserts the forest read back equals the captured one, and
+// returns it with the forest root and the store stats after chunking.
+func chunkRoundTrip(store *castore.MemStore, forest *vm.Forest, parent castore.Key) (*vm.Forest, castore.Key, castore.StoreStats) {
 	root, err := vm.ChunkForest(store, forest, parent)
 	if err != nil {
 		panic(fmt.Sprintf("bench: ckpt chunk: %v", err))
 	}
-	rebuilt, err := vm.UnchunkForest(store, root)
+	back, err := vm.UnchunkForest(store, root)
 	if err != nil {
 		panic(fmt.Sprintf("bench: ckpt unchunk: %v", err))
 	}
-	if !bytes.Equal(rebuilt, forest) {
-		panic("bench: ckpt unchunked forest differs from the original")
-	}
-	joined, err := kernel.JoinImage(meta, rebuilt)
-	if err != nil {
-		panic(fmt.Sprintf("bench: ckpt join: %v", err))
-	}
-	if !bytes.Equal(joined, img) {
-		panic("bench: ckpt chunk round trip differs from the original image")
+	if !back.Equal(forest) {
+		panic("bench: ckpt unchunked forest differs from the captured one")
 	}
 	st, err := store.Stats()
 	if err != nil {
 		panic(fmt.Sprintf("bench: ckpt store stats: %v", err))
 	}
-	return joined, root, st
+	return back, root, st
 }
 
 // ckptDeltaRow measures the incremental checkpoint: a full-region init
@@ -168,16 +161,16 @@ func ckptDeltaRow(region uint64, threads int) []string {
 		panic(fmt.Sprintf("bench: ckpt delta workload: %v", want.Err))
 	}
 
-	var img1, img2 []byte
+	var img1, img2 ckptImage
 	var saveDur time.Duration
 	ckRes := w.run(cfg, 0, nil, func(env *kernel.Env, after int) bool {
 		var err error
 		switch after {
 		case 1:
-			img1, err = env.Checkpoint(kernel.CheckpointOpts{})
+			img1.meta, img1.forest, err = env.Checkpoint(kernel.CheckpointOpts{})
 		case 2:
 			start := time.Now()
-			img2, err = env.Checkpoint(kernel.CheckpointOpts{})
+			img2.meta, img2.forest, err = env.Checkpoint(kernel.CheckpointOpts{})
 			saveDur = time.Since(start)
 		}
 		if err != nil {
@@ -190,8 +183,8 @@ func ckptDeltaRow(region uint64, threads int) []string {
 	}
 
 	store := castore.NewMemStore()
-	_, root1, s1 := chunkRoundTripRoot(store, img1, castore.Key{})
-	joined2, _, s2 := chunkRoundTripRoot(store, img2, root1)
+	_, root1, s1 := chunkRoundTrip(store, img1.forest, castore.Key{})
+	back2, _, s2 := chunkRoundTrip(store, img2.forest, root1)
 
 	deltaLogical := s2.LogicalSize - s1.LogicalSize
 	deltaStored := s2.StoredSize - s1.StoredSize
@@ -202,7 +195,7 @@ func ckptDeltaRow(region uint64, threads int) []string {
 
 	m := kernel.New(cfg)
 	start := time.Now()
-	if err := m.Restore(joined2); err != nil {
+	if err := m.Restore(img2.meta, back2); err != nil {
 		panic(fmt.Sprintf("bench: ckpt delta restore: %v", err))
 	}
 	restoreDur := time.Since(start)
@@ -210,10 +203,10 @@ func ckptDeltaRow(region uint64, threads int) []string {
 
 	dirtyMB := float64(region) * deltaFrac / 100 / (1 << 20)
 	return []string{fmt.Sprintf("%dM", region>>20), "Δ2",
-		iv(int64(len(img2) >> 10)),
-		f2(float64(len(img2)>>10) / dirtyMB),
+		iv(int64(img2.size() >> 10)),
+		f2(float64(img2.size()>>10) / dirtyMB),
 		iv(int64(deltaLogical >> 10)),
-		f2(float64(len(img2)) / float64(deltaLogical)),
+		f2(float64(img2.size()) / float64(deltaLogical)),
 		iv(int64(deltaStored >> 10)),
 		f2(float64(deltaStored) / 1024 / dirtyMB),
 		ms(float64(saveDur.Microseconds()) / 1000),

@@ -1,6 +1,6 @@
 // Package imgenc holds the bounds-checked cursor reader shared by the
-// checkpoint-image decoders (vm's forest images, kernel's machine
-// images, the session images of the root package). Each layer keeps its
+// checkpoint decoders (vm's forest roots and tails, kernel's metadata
+// images, the root package's metadata leaves). Each layer keeps its
 // own typed error; the reader takes a constructor so a decoding failure
 // surfaces as that layer's error with the offset it happened at.
 package imgenc

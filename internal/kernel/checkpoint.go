@@ -117,19 +117,25 @@ const (
 	sfHasErr    = 1 << 2
 )
 
-// Checkpoint serializes the calling space's entire subtree — for the
+// Checkpoint captures the calling space's entire subtree — for the
 // root, the whole machine. Only the root may checkpoint (it is the only
 // space that sees the devices whose cursors the image must include).
+//
+// The capture comes in two parts, which Restore takes back together:
+// meta, a small sealed image of the machine configuration, device
+// cursors and every space's record (registers, counters, residency),
+// and forest, the memory of every space and snapshot in the persisted
+// shape vm.ChunkForest stores.
 //
 // Checkpoint is a pure observation: it charges no virtual time, moves no
 // state, and leaves every space exactly as it found it, so a run that
 // checkpoints is bit-identical — checksums, conflicts, virtual times —
 // to one that does not. It blocks until every descendant has stopped,
 // like the rendezvous half of Put/Get.
-func (e *Env) Checkpoint(o CheckpointOpts) ([]byte, error) {
+func (e *Env) Checkpoint(o CheckpointOpts) (meta []byte, forest *vm.Forest, err error) {
 	sp := e.sp
 	if sp.parent != nil {
-		return nil, kerr("checkpoint", "only the root space may checkpoint")
+		return nil, nil, kerr("checkpoint", "only the root space may checkpoint")
 	}
 	allowed := make(map[uint64]bool, len(o.AllowParked))
 	for _, r := range o.AllowParked {
@@ -137,7 +143,7 @@ func (e *Env) Checkpoint(o CheckpointOpts) ([]byte, error) {
 		// uses, so home-relative and absolute references agree.
 		node, idx, err := sp.splitChildRef(r)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		allowed[uint64(node.id+1)<<nodeShift|idx] = true
 	}
@@ -149,14 +155,11 @@ func (e *Env) Checkpoint(o CheckpointOpts) ([]byte, error) {
 	b = sp.m.encodeConfig(b)
 	tree, err := sp.encodeTree(enc, allowed, true)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	forest := enc.Encode()
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(tree)))
 	b = append(b, tree...)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(forest)))
-	b = append(b, forest...)
-	return imgenc.Seal(b), nil
+	return imgenc.Seal(b), enc.Encode(), nil
 }
 
 // encodeConfig emits the machine-identity section: the knobs virtual
@@ -353,10 +356,11 @@ func ckptReader(payload []byte) *imgenc.Reader {
 	}}
 }
 
-// Restore loads a checkpoint image into a freshly constructed machine,
-// rebuilding the root space tree and fast-forwarding the configured
-// devices to the recorded cursors. The machine must have been built with
-// a configuration matching the image (*ImageMismatchError otherwise) and
+// Restore loads a checkpoint — the meta image and memory forest
+// Checkpoint returned — into a freshly constructed machine, rebuilding
+// the root space tree and fast-forwarding the configured devices to the
+// recorded cursors. The machine must have been built with a
+// configuration matching the image (*ImageMismatchError otherwise) and
 // must not have Run yet; the next Run resumes the restored root instead
 // of creating a fresh one. The supplied Prog receives the restored tree
 // and is responsible for continuing from the state its memory records.
@@ -368,14 +372,14 @@ func ckptReader(payload []byte) *imgenc.Reader {
 // than the checkpoint cursor — the machine's device state is no longer
 // the pristine initial one, so the machine is poisoned: any later Run
 // panics rather than silently producing a nondeterministic run.
-func (m *Machine) Restore(data []byte) error {
+func (m *Machine) Restore(meta []byte, forest *vm.Forest) error {
 	if m.root != nil {
 		return kerr("restore", "machine already has a root (Restore before Run)")
 	}
 	if m.broken != nil {
 		return kerr("restore", "machine poisoned by an earlier failed restore: %v", m.broken)
 	}
-	r, err := imgenc.Open(data, checkpointMagic, CheckpointVersion,
+	r, err := imgenc.Open(meta, checkpointMagic, CheckpointVersion,
 		func(off int, msg string) error { return &BadImageError{Offset: off, Msg: msg} },
 		func(v byte) error { return &ImageVersionError{Version: v, Max: CheckpointVersion} })
 	if err != nil {
@@ -387,13 +391,14 @@ func (m *Machine) Restore(data []byte) error {
 	}
 	treeLen := int(r.U32())
 	tree := r.Take(treeLen)
-	forestLen := int(r.U32())
-	forest := r.Take(forestLen)
 	if r.Err != nil {
 		return r.Err
 	}
 	if r.Remaining() != 0 {
 		return &BadImageError{Offset: r.Off, Msg: "trailing bytes"}
+	}
+	if forest == nil {
+		return &BadImageError{Offset: r.Off, Msg: "no memory forest"}
 	}
 	spaces, err := vm.DecodeForest(forest)
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/castore"
 	"repro/internal/vm"
 )
 
@@ -91,13 +92,14 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 	for stop := 1; stop < ckPhases; stop++ {
 		// A run that checkpoints at the barrier after phase stop-1 and
 		// halts there.
-		var img []byte
+		var meta []byte
+		var forest *vm.Forest
 		res := New(ckConfig()).Run(ckProg(t, 0, func(env *Env, next int) bool {
 			if next != stop {
 				return true
 			}
 			var err error
-			img, err = env.Checkpoint(CheckpointOpts{})
+			meta, forest, err = env.Checkpoint(CheckpointOpts{})
 			if err != nil {
 				t.Errorf("checkpoint at %d: %v", next, err)
 			}
@@ -106,13 +108,13 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 		if res.Err != nil {
 			t.Fatalf("checkpointing run: %v", res.Err)
 		}
-		if img == nil {
+		if meta == nil || forest == nil {
 			t.Fatalf("no image captured at phase %d", stop)
 		}
 
 		// Resume in a fresh machine and run the remaining phases.
 		m := New(ckConfig())
-		if err := m.Restore(img); err != nil {
+		if err := m.Restore(meta, forest); err != nil {
 			t.Fatalf("restore at %d: %v", stop, err)
 		}
 		got := m.Run(ckProg(t, stop, nil), 0)
@@ -130,7 +132,7 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 func TestCheckpointIsVTNeutral(t *testing.T) {
 	want := New(ckConfig()).Run(ckProg(t, 0, nil), 0)
 	got := New(ckConfig()).Run(ckProg(t, 0, func(env *Env, next int) bool {
-		if _, err := env.Checkpoint(CheckpointOpts{}); err != nil {
+		if _, _, err := env.Checkpoint(CheckpointOpts{}); err != nil {
 			t.Errorf("checkpoint: %v", err)
 		}
 		return true // keep running after every checkpoint
@@ -154,7 +156,7 @@ func TestCheckpointRequiresQuiescence(t *testing.T) {
 			t.Errorf("get: %v", err)
 			return
 		}
-		_, err := env.Checkpoint(CheckpointOpts{})
+		_, _, err := env.Checkpoint(CheckpointOpts{})
 		var nq *NotQuiescentError
 		if !errors.As(err, &nq) {
 			t.Errorf("parked child: got %v, want *NotQuiescentError", err)
@@ -166,7 +168,7 @@ func TestCheckpointRequiresQuiescence(t *testing.T) {
 		}
 		// Explicitly allowing the parked child makes it serializable as a
 		// restartable space.
-		if _, err := env.Checkpoint(CheckpointOpts{AllowParked: []uint64{1}}); err != nil {
+		if _, _, err := env.Checkpoint(CheckpointOpts{AllowParked: []uint64{1}}); err != nil {
 			t.Errorf("allow-parked checkpoint: %v", err)
 		}
 	}, 0)
@@ -178,7 +180,7 @@ func TestCheckpointRequiresQuiescence(t *testing.T) {
 func TestCheckpointOnlyRoot(t *testing.T) {
 	res := New(ckConfig()).Run(func(env *Env) {
 		err := env.Put(1, PutOpts{Regs: &Regs{Entry: func(e *Env) {
-			if _, err := e.Checkpoint(CheckpointOpts{}); err == nil {
+			if _, _, err := e.Checkpoint(CheckpointOpts{}); err == nil {
 				t.Error("non-root checkpoint succeeded")
 			}
 		}}, Start: true})
@@ -193,35 +195,49 @@ func TestCheckpointOnlyRoot(t *testing.T) {
 }
 
 // captureImage runs the deterministic phased program to a fixed barrier
-// and returns the image — the corpus for the format tests below.
-func captureImage(t testing.TB) []byte {
+// and returns the capture — the corpus for the format tests below.
+func captureImage(t testing.TB) ([]byte, *vm.Forest) {
 	t.Helper()
-	var img []byte
+	var meta []byte
+	var forest *vm.Forest
 	res := New(ckConfig()).Run(ckProg(t, 0, func(env *Env, next int) bool {
 		if next != 2 {
 			return true
 		}
 		var err error
-		img, err = env.Checkpoint(CheckpointOpts{})
+		meta, forest, err = env.Checkpoint(CheckpointOpts{})
 		if err != nil {
 			t.Errorf("checkpoint: %v", err)
 		}
 		return false
 	}), 0)
-	if res.Err != nil || img == nil {
+	if res.Err != nil || meta == nil {
 		t.Fatalf("capture failed: %v", res.Err)
 	}
-	return img
+	return meta, forest
 }
 
-// The golden-file test pins the image format: identical machine state
-// must serialize to identical bytes, and any (intentional) format change
+// The golden-file test pins the persisted form of a checkpoint: the
+// metadata image followed by the forest's full root node, which names
+// every page and table chunk by content key. Identical machine state
+// must persist as identical bytes, and any (intentional) format change
 // must come with a version bump and a regenerated golden file.
 func TestCheckpointGoldenImage(t *testing.T) {
-	img := captureImage(t)
-	if img[4] != CheckpointVersion {
-		t.Fatalf("version byte at offset 4 is %d, want %d", img[4], CheckpointVersion)
+	meta, forest := captureImage(t)
+	if meta[4] != CheckpointVersion {
+		t.Fatalf("version byte at offset 4 is %d, want %d", meta[4], CheckpointVersion)
 	}
+	store := castore.NewMemStore()
+	root, err := vm.ChunkForest(store, forest, castore.Key{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rootNode, err := store.Get(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := append(append([]byte(nil), meta...), rootNode...)
+
 	golden := filepath.Join("testdata", "ckpt_v1.golden")
 	want, err := os.ReadFile(golden)
 	if os.IsNotExist(err) {
@@ -237,12 +253,17 @@ func TestCheckpointGoldenImage(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(img, want) {
-		t.Fatalf("image bytes differ from golden file (%d vs %d bytes); "+
+		t.Fatalf("persisted bytes differ from golden file (%d vs %d bytes); "+
 			"format changes require a CheckpointVersion bump and a regenerated golden", len(img), len(want))
 	}
-	// The golden image still restores and resumes to the same result.
+	// The golden image still restores and resumes to the same result:
+	// its root reads back from the chunks, over its metadata half.
+	back, err := vm.UnchunkForest(store, castore.KeyOf(want[len(meta):]))
+	if err != nil {
+		t.Fatalf("golden root: %v", err)
+	}
 	m := New(ckConfig())
-	if err := m.Restore(want); err != nil {
+	if err := m.Restore(want[:len(meta)], back); err != nil {
 		t.Fatalf("golden restore: %v", err)
 	}
 	got := m.Run(ckProg(t, 2, nil), 0)
@@ -253,48 +274,86 @@ func TestCheckpointGoldenImage(t *testing.T) {
 }
 
 func TestRestoreRejectsBadImages(t *testing.T) {
-	img := captureImage(t)
+	meta, forest := captureImage(t)
 	var bad *BadImageError
 	var verr *ImageVersionError
 
-	for _, cut := range []int{0, 4, 8, len(img) / 3, len(img) - 1} {
-		if err := New(ckConfig()).Restore(img[:cut]); !errors.As(err, &bad) {
+	for _, cut := range []int{0, 4, 8, len(meta) / 3, len(meta) - 1} {
+		if err := New(ckConfig()).Restore(meta[:cut], forest); !errors.As(err, &bad) {
 			t.Fatalf("truncated at %d: got %v, want *BadImageError", cut, err)
 		}
 	}
-	flip := append([]byte(nil), img...)
+	flip := append([]byte(nil), meta...)
 	flip[len(flip)/2] ^= 0x10
-	if err := New(ckConfig()).Restore(flip); !errors.As(err, &bad) {
+	if err := New(ckConfig()).Restore(flip, forest); !errors.As(err, &bad) {
 		t.Fatalf("corrupt: got %v, want *BadImageError", err)
 	}
 	// Forward-compat: a version bump fails closed with the typed error.
-	futur := append([]byte(nil), img...)
+	futur := append([]byte(nil), meta...)
 	futur[4] = CheckpointVersion + 1
 	fixImageCRC(futur)
-	err := New(ckConfig()).Restore(futur)
+	err := New(ckConfig()).Restore(futur, forest)
 	if !errors.As(err, &verr) || verr.Version != CheckpointVersion+1 {
 		t.Fatalf("future version: got %v, want *ImageVersionError{Version: %d}", err, CheckpointVersion+1)
 	}
 }
 
+// The two halves of a checkpoint must belong together: metadata with
+// bytes past its tree section, a missing forest, or a forest lacking
+// the spaces the tree names all fail typed, leaving the machine
+// pristine.
+func TestRestoreRejectsMismatchedParts(t *testing.T) {
+	meta, forest := captureImage(t)
+	var bad *BadImageError
+
+	// Trailing bytes past the tree (an image still carrying a forest
+	// section, say) are not metadata.
+	long := append(append([]byte(nil), meta[:len(meta)-4]...), 1, 0, 0, 0, 0xff, 0, 0, 0, 0)
+	fixImageCRC(long)
+	if err := New(ckConfig()).Restore(long, forest); !errors.As(err, &bad) {
+		t.Fatalf("trailing bytes: got %v, want *BadImageError", err)
+	}
+	if err := New(ckConfig()).Restore(meta, nil); !errors.As(err, &bad) {
+		t.Fatalf("no forest: got %v, want *BadImageError", err)
+	}
+	// A lone root's forest holds one space; the tree names more.
+	var lone *vm.Forest
+	if res := New(ckConfig()).Run(func(env *Env) {
+		var err error
+		if _, lone, err = env.Checkpoint(CheckpointOpts{}); err != nil {
+			t.Error(err)
+		}
+	}, 0); res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	m := New(ckConfig())
+	if err := m.Restore(meta, lone); !errors.As(err, &bad) {
+		t.Fatalf("foreign forest: got %v, want *BadImageError", err)
+	}
+	// The refusals left the machine pristine: the matching pair restores.
+	if err := m.Restore(meta, forest); err != nil {
+		t.Fatalf("restore after refusals: %v", err)
+	}
+}
+
 func TestRestoreRejectsConfigMismatch(t *testing.T) {
-	img := captureImage(t)
+	meta, forest := captureImage(t)
 	var mm *ImageMismatchError
 
 	cfg := ckConfig()
 	cfg.CPUsPerNode = 7
-	if err := New(cfg).Restore(img); !errors.As(err, &mm) || mm.Field != "CPUs per node" {
+	if err := New(cfg).Restore(meta, forest); !errors.As(err, &mm) || mm.Field != "CPUs per node" {
 		t.Fatalf("cpu mismatch: got %v", err)
 	}
 	cfg = ckConfig()
 	cfg.Nodes = 3
-	if err := New(cfg).Restore(img); !errors.As(err, &mm) || mm.Field != "node count" {
+	if err := New(cfg).Restore(meta, forest); !errors.As(err, &mm) || mm.Field != "node count" {
 		t.Fatalf("node mismatch: got %v", err)
 	}
 	cfg = ckConfig()
 	cfg.Cost = DefaultCostModel()
 	cfg.Cost.PageCompare++
-	if err := New(cfg).Restore(img); !errors.As(err, &mm) || mm.Field != "cost model" {
+	if err := New(cfg).Restore(meta, forest); !errors.As(err, &mm) || mm.Field != "cost model" {
 		t.Fatalf("cost mismatch: got %v", err)
 	}
 }
@@ -340,13 +399,14 @@ func TestCheckpointResumeMultiNode(t *testing.T) {
 		t.Fatal("test expects cross-node traffic")
 	}
 	for stop := 1; stop < ckPhases; stop++ {
-		var img []byte
+		var meta []byte
+		var forest *vm.Forest
 		if res := New(cfg).Run(prog(0, func(env *Env, next int) bool {
 			if next != stop {
 				return true
 			}
 			var err error
-			img, err = env.Checkpoint(CheckpointOpts{})
+			meta, forest, err = env.Checkpoint(CheckpointOpts{})
 			if err != nil {
 				t.Errorf("checkpoint: %v", err)
 			}
@@ -355,7 +415,7 @@ func TestCheckpointResumeMultiNode(t *testing.T) {
 			t.Fatal(res.Err)
 		}
 		m := New(cfg)
-		if err := m.Restore(img); err != nil {
+		if err := m.Restore(meta, forest); err != nil {
 			t.Fatalf("restore: %v", err)
 		}
 		got := m.Run(prog(stop, nil), 0)

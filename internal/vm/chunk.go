@@ -1,16 +1,13 @@
 package vm
 
-// Chunked forest images: a content-addressed transcoding of the flat
-// forest image into a castore object graph.
-//
-// The flat image (image.go) is the canonical form — it serializes the
-// COW identity graph, and DecodeForest is the only restore path. The
-// chunked form never re-derives that graph; it is a pure byte-level
-// re-encoding: ChunkForest splits a flat image into page chunks, table
-// chunks and a root node, and UnchunkForest reassembles the *identical*
-// flat bytes. Restoring through a store is therefore bit-identical to
-// restoring the flat image by construction, and the property is
-// directly testable as round-trip byte equality.
+// The persisted form of a forest: a castore object graph of page
+// chunks, table chunks and one root node. This is the only form a
+// checkpoint is stored in. ChunkForest writes a captured Forest as
+// chunks without re-parsing anything — the Forest already holds each
+// page with its content key and each table layout with its key — and
+// UnchunkForest reads the same Forest value back, which DecodeForest
+// turns into spaces. A store round trip therefore restores exactly the
+// captured identity graph.
 //
 // Chunk granularity follows the dedup physics of checkpoints:
 //
@@ -25,11 +22,11 @@ package vm
 //     table chunks stable. The page-id lists live in the root, where
 //     they delta-encode well.
 //   - The root is a castore node whose leaf refs are the literal page
-//     and table chunk keys, and whose payload rebuilds the image's
-//     instance lists. Identical-content but distinct-identity pages
-//     appear as repeated keys in per-instance lists — content
-//     addressing dedups the bytes while the lists preserve the
-//     identity graph the flat format encodes.
+//     and table chunk keys, and whose payload rebuilds the forest's
+//     instance lists plus its tail of space records and snapshot
+//     links. Identical-content but distinct-identity pages appear as
+//     repeated keys in per-instance lists — content addressing dedups
+//     the bytes while the lists preserve the identity graph.
 //
 // Incremental roots: a root may reference its parent root (as a node
 // ref, so GC chains stay reachable) and encode its page-key and
@@ -40,8 +37,8 @@ package vm
 // a self-contained full root.
 
 import (
+	"bytes"
 	"encoding/binary"
-	"fmt"
 
 	"repro/internal/castore"
 	"repro/internal/imgenc"
@@ -64,23 +61,6 @@ const (
 	fullRootLiteralPct = 80
 )
 
-// tableRec is one table instance in a chunked image: the layout chunk
-// it references plus its per-slot page ids (0 = no page, else
-// 1-based index into the image's page list).
-type tableRec struct {
-	chunk castore.Key
-	pids  []uint32
-}
-
-// forestShape is a resolved root: the instance lists and trailing
-// sections needed to reassemble the flat image.
-type forestShape struct {
-	depth    uint32
-	pageKeys []castore.Key
-	tables   []tableRec
-	tail     []byte // spaces + links sections, verbatim flat bytes
-}
-
 // chunkOp is one run of a delta-encoded instance list: count items
 // taken either from the root's own literals or from the parent's list
 // starting at start.
@@ -90,113 +70,92 @@ type chunkOp struct {
 	count int
 }
 
-func chunkFailf(off int, format string, args ...any) *ImageFormatError {
-	return &ImageFormatError{Offset: off, Msg: fmt.Sprintf(format, args...)}
-}
-
-// ChunkForest stores a flat forest image's pages and tables as
-// content-addressed chunks and returns the key of the image's root
-// node. When parent is the (non-zero) root key of an earlier image in
-// the same store, the new root is delta-encoded against it where
-// profitable; UnchunkForest of the returned key reproduces flat
-// byte-for-byte either way.
-func ChunkForest(store castore.BlobStore, flat []byte, parent castore.Key) (castore.Key, error) {
-	r, err := imgenc.Open(flat, imageMagic, ImageVersion,
-		func(off int, msg string) error { return &ImageFormatError{Offset: off, Msg: msg} },
-		func(v byte) error { return &ImageVersionError{Version: v, Max: ImageVersion} })
-	if err != nil {
-		return castore.Key{}, err
-	}
-
-	nPages := int(r.U32())
-	if r.Err == nil && nPages*PageSize > len(r.B) {
-		r.Failf("page count %d exceeds image size", nPages)
-	}
-	pageKeys := make([]castore.Key, 0, max(nPages, 0))
-	for i := 0; i < nPages && r.Err == nil; i++ {
-		pg := r.Take(PageSize)
-		if r.Err != nil {
-			break
-		}
-		key := castore.KeyOf(pg)
-		if err := store.Put(key, pg); err != nil {
+// ChunkForest stores f's pages and tables as content-addressed chunks
+// and returns the key of its root node. When parent is the (non-zero)
+// root key of an earlier forest in the same store, the new root is
+// delta-encoded against it where profitable; UnchunkForest of the
+// returned key yields f either way.
+func ChunkForest(store castore.BlobStore, f *Forest, parent castore.Key) (castore.Key, error) {
+	for i, key := range f.pageKeys {
+		if err := store.Put(key, f.pages[i]); err != nil {
 			return castore.Key{}, err
 		}
-		pageKeys = append(pageKeys, key)
 	}
-
-	nTables := int(r.U32())
-	if r.Err == nil && nTables*3 > len(r.B) {
-		r.Failf("table count %d exceeds image size", nTables)
-	}
-	tables := make([]tableRec, 0, max(nTables, 0))
-	for i := 0; i < nTables && r.Err == nil; i++ {
-		n := int(r.U16())
-		chunk := make([]byte, 0, 2+3*n)
-		chunk = binary.LittleEndian.AppendUint16(chunk, uint16(n))
-		pids := make([]uint32, 0, n)
-		for j := 0; j < n && r.Err == nil; j++ {
-			l2 := r.U16()
-			perm := r.U8()
-			pid := r.U32()
-			if r.Err != nil {
-				break
-			}
-			if int(pid) > nPages {
-				r.Failf("page id %d out of range (%d pages)", pid, nPages)
-				break
-			}
-			chunk = binary.LittleEndian.AppendUint16(chunk, l2)
-			chunk = append(chunk, perm)
-			pids = append(pids, pid)
-		}
-		if r.Err != nil {
-			break
-		}
-		key := castore.KeyOf(chunk)
-		if err := store.Put(key, chunk); err != nil {
+	for _, rec := range f.tables {
+		if err := store.Put(rec.chunk, rec.layout); err != nil {
 			return castore.Key{}, err
 		}
-		tables = append(tables, tableRec{chunk: key, pids: pids})
 	}
-
-	tail := r.Take(r.Remaining())
-	if r.Err != nil {
-		return castore.Key{}, r.Err
-	}
-
-	cur := &forestShape{pageKeys: pageKeys, tables: tables, tail: tail}
 
 	// Delta against the parent when one is given and enough survives.
-	var par *forestShape
+	var par *Forest
+	var parDepth uint32
 	if !parent.IsZero() {
-		par, err = resolveShape(store, parent, 0)
+		var err error
+		par, parDepth, err = resolveShape(store, parent, 0)
 		if err != nil {
 			return castore.Key{}, err
 		}
 	}
-	pageOps, tableOps, usePar := planOps(cur, par)
+	pageOps, tableOps, usePar := planOps(f, par, parDepth)
+	var nodeRefs []castore.Key
+	var depth uint32
 	if usePar {
-		cur.depth = par.depth + 1
+		nodeRefs = []castore.Key{parent}
+		depth = parDepth + 1
 	}
+	leafRefs, payload := f.rootPayload(pageOps, tableOps, usePar, depth)
+	return castore.PutNode(store, nodeRefs, leafRefs, payload)
+}
 
-	// Assemble: literal refs in op order, then the payload over them.
+// Root returns the framed full root node of f — the node ChunkForest
+// stores for f when it has no parent. It names every page and table
+// chunk by key and carries the page-id lists and the tail, so it pins
+// the whole forest: equal roots mean equal forests.
+func (f *Forest) Root() []byte {
+	pageOps, tableOps, _ := planOps(f, nil, 0)
+	leafRefs, payload := f.rootPayload(pageOps, tableOps, false, 0)
+	return castore.BuildNode(nil, leafRefs, payload)
+}
+
+// Equal reports whether f and g hold the same forest: equal roots (page
+// and table keys, page-id lists, tail) and equal page and layout bytes.
+func (f *Forest) Equal(g *Forest) bool {
+	if !bytes.Equal(f.Root(), g.Root()) {
+		return false
+	}
+	for i := range f.pages {
+		if !bytes.Equal(f.pages[i], g.pages[i]) {
+			return false
+		}
+	}
+	for i := range f.tables {
+		if !bytes.Equal(f.tables[i].layout, g.tables[i].layout) {
+			return false
+		}
+	}
+	return true
+}
+
+// rootPayload assembles a root node's leaf refs (page literals in op
+// order, then table chunks) and its payload for the given op lists.
+func (f *Forest) rootPayload(pageOps, tableOps []chunkOp, usePar bool, depth uint32) ([]castore.Key, []byte) {
 	var leafRefs []castore.Key
 	for _, op := range pageOps {
 		if !op.copy {
-			leafRefs = append(leafRefs, cur.pageKeys[op.start:op.start+op.count]...)
+			leafRefs = append(leafRefs, f.pageKeys[op.start:op.start+op.count]...)
 		}
 	}
 	var payload []byte
 	payload = append(payload, chunkRootVersion)
-	payload = binary.LittleEndian.AppendUint32(payload, cur.depth)
+	payload = binary.LittleEndian.AppendUint32(payload, depth)
 	if usePar {
 		payload = append(payload, 1)
 	} else {
 		payload = append(payload, 0)
 	}
 
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(cur.pageKeys)))
+	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(f.pageKeys)))
 	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(pageOps)))
 	leaf := 0
 	for _, op := range pageOps {
@@ -211,7 +170,7 @@ func ChunkForest(store castore.BlobStore, flat []byte, parent castore.Key) (cast
 		payload = binary.LittleEndian.AppendUint32(payload, uint32(op.count))
 	}
 
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(cur.tables)))
+	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(f.tables)))
 	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(tableOps)))
 	for _, op := range tableOps {
 		if op.copy {
@@ -222,7 +181,7 @@ func ChunkForest(store castore.BlobStore, flat []byte, parent castore.Key) (cast
 		}
 		payload = append(payload, 0)
 		payload = binary.LittleEndian.AppendUint32(payload, uint32(op.count))
-		for _, rec := range cur.tables[op.start : op.start+op.count] {
+		for _, rec := range f.tables[op.start : op.start+op.count] {
 			payload = binary.LittleEndian.AppendUint32(payload, uint32(len(leafRefs)))
 			leafRefs = append(leafRefs, rec.chunk)
 			payload = binary.LittleEndian.AppendUint16(payload, uint16(len(rec.pids)))
@@ -232,112 +191,97 @@ func ChunkForest(store castore.BlobStore, flat []byte, parent castore.Key) (cast
 		}
 	}
 
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(cur.tail)))
-	payload = append(payload, cur.tail...)
-
-	var nodeRefs []castore.Key
-	if usePar {
-		nodeRefs = []castore.Key{parent}
-	}
-	return castore.PutNode(store, nodeRefs, leafRefs, payload)
+	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(f.tail)))
+	payload = append(payload, f.tail...)
+	return leafRefs, payload
 }
 
-// UnchunkForest reassembles the flat forest image rooted at key,
-// fetching (and thereby hash-verifying) every chunk it references. The
-// result decodes with DecodeForest exactly as the original flat image
-// would; missing chunks surface as *castore.ChunkMissingError,
-// damaged ones as *castore.ChunkHashError, and structural nonsense as
+// UnchunkForest reads back the forest rooted at key, fetching (and
+// thereby hash-verifying) every chunk it references and checking each
+// chunk's shape: page chunks are PageSize bytes, and a table chunk's
+// slot count matches its length and its page-id list. Missing chunks
+// surface as *castore.ChunkMissingError, damaged ones as
+// *castore.ChunkHashError, and structural nonsense as
 // *ImageFormatError.
-func UnchunkForest(store castore.BlobStore, root castore.Key) ([]byte, error) {
-	shape, err := resolveShape(store, root, 0)
+func UnchunkForest(store castore.BlobStore, root castore.Key) (*Forest, error) {
+	f, _, err := resolveShape(store, root, 0)
 	if err != nil {
 		return nil, err
 	}
-
-	var b []byte
-	b = append(b, imageMagic[:]...)
-	b = append(b, ImageVersion)
-
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(shape.pageKeys)))
-	for _, key := range shape.pageKeys {
+	f.pages = make([][]byte, len(f.pageKeys))
+	for i, key := range f.pageKeys {
 		pg, err := store.Get(key)
 		if err != nil {
 			return nil, err
 		}
 		if len(pg) != PageSize {
-			return nil, chunkFailf(len(b), "page chunk %s is %d bytes, want %d", key, len(pg), PageSize)
+			return nil, formatErrorf(0, "page %d: chunk %s is %d bytes, want %d", i, key, len(pg), PageSize)
 		}
-		b = append(b, pg...)
+		f.pages[i] = pg
 	}
-
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(shape.tables)))
-	for ti, rec := range shape.tables {
+	for i := range f.tables {
+		rec := &f.tables[i]
 		chunk, err := store.Get(rec.chunk)
 		if err != nil {
 			return nil, err
 		}
 		if len(chunk) < 2 {
-			return nil, chunkFailf(len(b), "table chunk %s truncated", rec.chunk)
+			return nil, formatErrorf(0, "table %d: chunk %s truncated", i, rec.chunk)
 		}
 		n := int(binary.LittleEndian.Uint16(chunk))
 		if len(chunk) != 2+3*n {
-			return nil, chunkFailf(len(b), "table chunk %s is %d bytes, want %d", rec.chunk, len(chunk), 2+3*n)
+			return nil, formatErrorf(0, "table %d: chunk %s is %d bytes, want %d", i, rec.chunk, len(chunk), 2+3*n)
 		}
 		if n != len(rec.pids) {
-			return nil, chunkFailf(len(b), "table %d: chunk has %d slots, root lists %d page ids", ti, n, len(rec.pids))
+			return nil, formatErrorf(0, "table %d: chunk has %d slots, root lists %d page ids", i, n, len(rec.pids))
 		}
-		b = binary.LittleEndian.AppendUint16(b, uint16(n))
-		for j := 0; j < n; j++ {
-			pid := rec.pids[j]
-			if int(pid) > len(shape.pageKeys) {
-				return nil, chunkFailf(len(b), "table %d: page id %d out of range (%d pages)", ti, pid, len(shape.pageKeys))
-			}
-			b = append(b, chunk[2+3*j:2+3*j+3]...) // l2 + perm, verbatim
-			b = binary.LittleEndian.AppendUint32(b, pid)
-		}
+		rec.layout = chunk
 	}
-
-	b = append(b, shape.tail...)
-	return imgenc.Seal(b), nil
+	return f, nil
 }
 
-// resolveShape parses a root node and materializes its instance lists,
-// recursing through the parent chain to satisfy copy ops.
-func resolveShape(store castore.BlobStore, key castore.Key, depth int) (*forestShape, error) {
+// resolveShape parses a root node and materializes its instance lists
+// and tail (no page or table contents), recursing through the parent
+// chain to satisfy copy ops. It also returns the root's chain depth.
+// The header counts are checked against what the ops produce, and no
+// slice is sized by a count before that: capacities are bounded by the
+// leaf refs, the parent's lists and the payload actually present.
+func resolveShape(store castore.BlobStore, key castore.Key, depth int) (*Forest, uint32, error) {
 	if depth > maxResolveDepth {
-		return nil, chunkFailf(0, "root parent chain deeper than %d", maxResolveDepth)
+		return nil, 0, formatErrorf(0, "root parent chain deeper than %d", maxResolveDepth)
 	}
 	node, err := castore.GetNode(store, key)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	r := &imgenc.Reader{B: node.Payload, Wrap: func(off int, msg string) error {
 		return &ImageFormatError{Offset: off, Msg: "root " + key.String()[:12] + ": " + msg}
 	}}
 
 	if v := r.U8(); r.Err == nil && v != chunkRootVersion {
-		return nil, &ImageVersionError{Version: v, Max: chunkRootVersion}
+		return nil, 0, &ImageVersionError{Version: v, Max: chunkRootVersion}
 	}
-	shape := &forestShape{depth: r.U32()}
+	chainDepth := r.U32()
 	hasParent := r.U8() != 0
 
-	var par *forestShape
+	par := &Forest{}
 	if hasParent {
 		if len(node.NodeRefs) == 0 {
-			return nil, chunkFailf(r.Off, "delta root without parent node ref")
+			return nil, 0, formatErrorf(r.Off, "delta root without parent node ref")
 		}
-		par, err = resolveShape(store, node.NodeRefs[0], depth+1)
+		par, _, err = resolveShape(store, node.NodeRefs[0], depth+1)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 	}
+	f := &Forest{}
 
 	nPages := int(r.U32())
 	nOps := int(r.U32())
 	if r.Err == nil && nOps > r.Remaining() {
 		r.Failf("page op count %d exceeds payload", nOps)
 	}
-	shape.pageKeys = make([]castore.Key, 0, max(nPages, 0))
+	f.pageKeys = make([]castore.Key, 0, min(max(nPages, 0), len(node.LeafRefs)+len(par.pageKeys)))
 	for i := 0; i < nOps && r.Err == nil; i++ {
 		kind := r.U8()
 		start := int(r.U32())
@@ -351,9 +295,9 @@ func resolveShape(store castore.BlobStore, key castore.Key, depth int) (*forestS
 				r.Failf("page literal op [%d,+%d) outside %d leaf refs", start, count, len(node.LeafRefs))
 				break
 			}
-			shape.pageKeys = append(shape.pageKeys, node.LeafRefs[start:start+count]...)
+			f.pageKeys = append(f.pageKeys, node.LeafRefs[start:start+count]...)
 		case 1:
-			if par == nil {
+			if !hasParent {
 				r.Failf("page copy op in root without parent")
 				break
 			}
@@ -361,13 +305,16 @@ func resolveShape(store castore.BlobStore, key castore.Key, depth int) (*forestS
 				r.Failf("page copy op [%d,+%d) outside parent's %d pages", start, count, len(par.pageKeys))
 				break
 			}
-			shape.pageKeys = append(shape.pageKeys, par.pageKeys[start:start+count]...)
+			f.pageKeys = append(f.pageKeys, par.pageKeys[start:start+count]...)
 		default:
 			r.Failf("unknown page op kind %d", kind)
 		}
+		if r.Err == nil && len(f.pageKeys) > nPages {
+			r.Failf("page ops produce more than the %d pages the header gives", nPages)
+		}
 	}
-	if r.Err == nil && len(shape.pageKeys) != nPages {
-		r.Failf("page ops produced %d pages, header says %d", len(shape.pageKeys), nPages)
+	if r.Err == nil && len(f.pageKeys) != nPages {
+		r.Failf("page ops produced %d pages, header says %d", len(f.pageKeys), nPages)
 	}
 
 	nTables := int(r.U32())
@@ -375,7 +322,8 @@ func resolveShape(store castore.BlobStore, key castore.Key, depth int) (*forestS
 	if r.Err == nil && nOps > r.Remaining() {
 		r.Failf("table op count %d exceeds payload", nOps)
 	}
-	shape.tables = make([]tableRec, 0, max(nTables, 0))
+	// A literal record takes at least 6 payload bytes.
+	f.tables = make([]tableRec, 0, min(max(nTables, 0), r.Remaining()/6+len(par.tables)))
 	for i := 0; i < nOps && r.Err == nil; i++ {
 		kind := r.U8()
 		switch kind {
@@ -395,11 +343,15 @@ func resolveShape(store castore.BlobStore, key castore.Key, depth int) (*forestS
 					r.Failf("table leaf ref %d outside %d leaf refs", leafIdx, len(node.LeafRefs))
 					break
 				}
-				rec := tableRec{chunk: node.LeafRefs[leafIdx], pids: make([]uint32, 0, max(npids, 0))}
-				for k := 0; k < npids && r.Err == nil; k++ {
-					rec.pids = append(rec.pids, r.U32())
+				if 4*npids > r.Remaining() {
+					r.Failf("table page-id count %d exceeds payload", npids)
+					break
 				}
-				shape.tables = append(shape.tables, rec)
+				rec := tableRec{chunk: node.LeafRefs[leafIdx], pids: make([]uint32, npids)}
+				for k := range rec.pids {
+					rec.pids[k] = r.U32()
+				}
+				f.tables = append(f.tables, rec)
 			}
 		case 1:
 			start := int(r.U32())
@@ -407,7 +359,7 @@ func resolveShape(store castore.BlobStore, key castore.Key, depth int) (*forestS
 			if r.Err != nil {
 				break
 			}
-			if par == nil {
+			if !hasParent {
 				r.Failf("table copy op in root without parent")
 				break
 			}
@@ -415,30 +367,33 @@ func resolveShape(store castore.BlobStore, key castore.Key, depth int) (*forestS
 				r.Failf("table copy op [%d,+%d) outside parent's %d tables", start, count, len(par.tables))
 				break
 			}
-			shape.tables = append(shape.tables, par.tables[start:start+count]...)
+			f.tables = append(f.tables, par.tables[start:start+count]...)
 		default:
 			r.Failf("unknown table op kind %d", kind)
 		}
+		if r.Err == nil && len(f.tables) > nTables {
+			r.Failf("table ops produce more than the %d tables the header gives", nTables)
+		}
 	}
-	if r.Err == nil && len(shape.tables) != nTables {
-		r.Failf("table ops produced %d tables, header says %d", len(shape.tables), nTables)
+	if r.Err == nil && len(f.tables) != nTables {
+		r.Failf("table ops produced %d tables, header says %d", len(f.tables), nTables)
 	}
 
 	tailLen := int(r.U32())
 	if r.Err == nil && tailLen != r.Remaining() {
 		r.Failf("tail length %d, %d bytes left", tailLen, r.Remaining())
 	}
-	shape.tail = r.Take(tailLen)
+	f.tail = r.Take(tailLen)
 	if r.Err != nil {
-		return nil, r.Err
+		return nil, 0, r.Err
 	}
-	return shape, nil
+	return f, chainDepth, nil
 }
 
 // planOps delta-encodes cur's instance lists against par, falling back
 // to a self-contained full root (usePar=false, all-literal ops) when
 // there is no parent, the chain is deep, or too little survives.
-func planOps(cur, par *forestShape) (pageOps, tableOps []chunkOp, usePar bool) {
+func planOps(cur, par *Forest, parDepth uint32) (pageOps, tableOps []chunkOp, usePar bool) {
 	fullPages := []chunkOp{{start: 0, count: len(cur.pageKeys)}}
 	fullTables := []chunkOp{{start: 0, count: len(cur.tables)}}
 	if len(cur.pageKeys) == 0 {
@@ -447,7 +402,7 @@ func planOps(cur, par *forestShape) (pageOps, tableOps []chunkOp, usePar bool) {
 	if len(cur.tables) == 0 {
 		fullTables = nil
 	}
-	if par == nil || par.depth+1 >= maxChainDepth {
+	if par == nil || parDepth+1 >= maxChainDepth {
 		return fullPages, fullTables, false
 	}
 	pageOps, pageLit := deltaOps(pageTokens(cur), pageTokens(par))
@@ -460,7 +415,7 @@ func planOps(cur, par *forestShape) (pageOps, tableOps []chunkOp, usePar bool) {
 }
 
 // pageTokens serializes a shape's page instances for delta matching.
-func pageTokens(s *forestShape) []string {
+func pageTokens(s *Forest) []string {
 	out := make([]string, len(s.pageKeys))
 	for i, k := range s.pageKeys {
 		out[i] = string(k[:])
@@ -470,7 +425,7 @@ func pageTokens(s *forestShape) []string {
 
 // tableTokens serializes a shape's table records (layout chunk plus
 // page-id list — both must match for a parent record to be reused).
-func tableTokens(s *forestShape) []string {
+func tableTokens(s *Forest) []string {
 	out := make([]string, len(s.tables))
 	for i, rec := range s.tables {
 		b := make([]byte, 0, castore.KeySize+4*len(rec.pids))

@@ -2,17 +2,19 @@ package vm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"runtime"
 	"testing"
 
 	"repro/internal/castore"
 )
 
-// chunkRoundTrip asserts the core transcoding property: unchunking a
-// chunked image reproduces the flat bytes exactly.
-func chunkRoundTrip(t *testing.T, store castore.BlobStore, flat []byte, parent castore.Key) castore.Key {
+// chunkRoundTrip asserts the core store property: unchunking a chunked
+// forest yields the captured forest exactly.
+func chunkRoundTrip(t testing.TB, store castore.BlobStore, f *Forest, parent castore.Key) castore.Key {
 	t.Helper()
-	root, err := ChunkForest(store, flat, parent)
+	root, err := ChunkForest(store, f, parent)
 	if err != nil {
 		t.Fatalf("ChunkForest: %v", err)
 	}
@@ -20,27 +22,26 @@ func chunkRoundTrip(t *testing.T, store castore.BlobStore, flat []byte, parent c
 	if err != nil {
 		t.Fatalf("UnchunkForest: %v", err)
 	}
-	if !bytes.Equal(back, flat) {
-		t.Fatalf("unchunked image differs from flat: %d bytes vs %d", len(back), len(flat))
+	if !back.Equal(f) {
+		t.Fatalf("unchunked forest differs from the captured one")
 	}
 	return root
 }
 
 func TestChunkRoundTripFull(t *testing.T) {
 	cur, snap := buildPair(t)
-	flat := encodePair(cur, snap)
+	f := encodePair(cur, snap)
 	store := castore.NewMemStore()
-	root := chunkRoundTrip(t, store, flat, castore.Key{})
+	root := chunkRoundTrip(t, store, f, castore.Key{})
 
-	// Chunking is a transcoding: the reassembled bytes must decode with
-	// the ordinary flat decoder into working spaces.
+	// The forest read back decodes into working spaces.
 	back, err := UnchunkForest(store, root)
 	if err != nil {
 		t.Fatal(err)
 	}
 	spaces, err := DecodeForest(back)
 	if err != nil {
-		t.Fatalf("DecodeForest of unchunked image: %v", err)
+		t.Fatalf("DecodeForest of unchunked forest: %v", err)
 	}
 	if len(spaces) != 2 {
 		t.Fatalf("decoded %d spaces, want 2", len(spaces))
@@ -49,7 +50,8 @@ func TestChunkRoundTripFull(t *testing.T) {
 		t.Fatal("restored content differs")
 	}
 
-	// A full root is self-contained: no parent node ref.
+	// A full root is self-contained: no parent node ref. It is exactly
+	// the forest's Root.
 	node, err := castore.GetNode(store, root)
 	if err != nil {
 		t.Fatal(err)
@@ -57,13 +59,15 @@ func TestChunkRoundTripFull(t *testing.T) {
 	if len(node.NodeRefs) != 0 {
 		t.Fatalf("full root has %d node refs, want 0", len(node.NodeRefs))
 	}
+	if raw, err := store.Get(root); err != nil || !bytes.Equal(raw, f.Root()) {
+		t.Fatalf("stored full root differs from Forest.Root (%v)", err)
+	}
 }
 
 func TestChunkRoundTripEmptyForest(t *testing.T) {
 	e := NewForestEncoder()
 	e.Add(NewSpace())
-	flat := e.Encode()
-	chunkRoundTrip(t, castore.NewMemStore(), flat, castore.Key{})
+	chunkRoundTrip(t, castore.NewMemStore(), e.Encode(), castore.Key{})
 }
 
 func TestChunkDeltaStoresOnlyDirtyPages(t *testing.T) {
@@ -77,7 +81,7 @@ func TestChunkDeltaStoresOnlyDirtyPages(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	enc := func() []byte {
+	enc := func() *Forest {
 		e := NewForestEncoder()
 		e.Add(s)
 		return e.Encode()
@@ -148,7 +152,7 @@ func TestChunkDeltaChainFallsBackToFullRoot(t *testing.T) {
 
 func TestUnchunkRejectsDamage(t *testing.T) {
 	cur, snap := buildPair(t)
-	flat := encodePair(cur, snap)
+	f := encodePair(cur, snap)
 
 	// Missing root key.
 	if _, err := UnchunkForest(castore.NewMemStore(), castore.KeyOf([]byte("nope"))); !errors.As(err, new(*castore.ChunkMissingError)) {
@@ -157,7 +161,7 @@ func TestUnchunkRejectsDamage(t *testing.T) {
 
 	// Deleting any leaf chunk must surface as ChunkMissingError.
 	store := castore.NewMemStore()
-	root, err := ChunkForest(store, flat, castore.Key{})
+	root, err := ChunkForest(store, f, castore.Key{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,6 +183,22 @@ func TestUnchunkRejectsDamage(t *testing.T) {
 		if err := store.Put(victim, saved); err != nil {
 			t.Fatal(err)
 		}
+	}
+
+	// A root written by a newer format fails closed with the typed
+	// version error.
+	future := append([]byte(nil), node.Payload...)
+	future[0] = chunkRootVersion + 1
+	futureRoot, err := castore.PutNode(store, node.NodeRefs, node.LeafRefs, future)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var verr *ImageVersionError
+	if _, err := UnchunkForest(store, futureRoot); !errors.As(err, &verr) {
+		t.Fatalf("future root version: %v, want ImageVersionError", err)
+	}
+	if verr.Version != chunkRootVersion+1 || verr.Max != chunkRootVersion {
+		t.Fatalf("version error fields: %+v", verr)
 	}
 
 	// Corrupting a chunk's stored bytes must surface as ChunkHashError.
@@ -226,6 +246,55 @@ func TestUnchunkRejectsMismatchedChunkShapes(t *testing.T) {
 	if _, err := UnchunkForest(store, root2); !errors.As(err, new(*ImageFormatError)) {
 		t.Fatalf("truncated root payload: %v, want ImageFormatError", err)
 	}
+
+	// Table chunks: one literal record naming chunk (leaf 0) with the
+	// given page ids. A one-byte chunk is truncated, a chunk whose
+	// length disagrees with its slot count is malformed, and a valid
+	// one-slot chunk listed with two page ids mismatches the root.
+	oneByte := []byte{1}
+	if err := store.Put(castore.KeyOf(oneByte), oneByte); err != nil {
+		t.Fatal(err)
+	}
+	badLen := []byte{2, 0, 5, 0, 3} // claims 2 slots, holds 1
+	if err := store.Put(castore.KeyOf(badLen), badLen); err != nil {
+		t.Fatal(err)
+	}
+	tableRoot := func(chunk []byte, pids ...uint32) castore.Key {
+		var p []byte
+		p = append(p, chunkRootVersion)
+		p = binary.LittleEndian.AppendUint32(p, 0) // depth
+		p = append(p, 0)                           // no parent
+		p = binary.LittleEndian.AppendUint32(p, 0) // no pages
+		p = binary.LittleEndian.AppendUint32(p, 0) // no page ops
+		p = binary.LittleEndian.AppendUint32(p, 1) // one table
+		p = binary.LittleEndian.AppendUint32(p, 1) // one table op
+		p = append(p, 0)                           // literal
+		p = binary.LittleEndian.AppendUint32(p, 1) // one record
+		p = binary.LittleEndian.AppendUint32(p, 0) // leaf 0
+		p = binary.LittleEndian.AppendUint16(p, uint16(len(pids)))
+		for _, pid := range pids {
+			p = binary.LittleEndian.AppendUint32(p, pid)
+		}
+		p = binary.LittleEndian.AppendUint32(p, 0) // tail len 0
+		key, err := castore.PutNode(store, nil, []castore.Key{castore.KeyOf(chunk)}, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return key
+	}
+	for name, root := range map[string]castore.Key{
+		"truncated table chunk": tableRoot(oneByte),
+		"table chunk length":    tableRoot(badLen, 0, 0),
+		"table slot count":      tableRoot(small, 0, 0),
+	} {
+		if _, err := UnchunkForest(store, root); !errors.As(err, new(*ImageFormatError)) {
+			t.Fatalf("%s: %v, want ImageFormatError", name, err)
+		}
+	}
+	// The same record with a matching page-id list is well-formed.
+	if _, err := UnchunkForest(store, tableRoot(small, 0)); err != nil {
+		t.Fatalf("well-formed one-table root: %v", err)
+	}
 }
 
 func TestChunkSiblingImagesShareChunks(t *testing.T) {
@@ -251,7 +320,7 @@ func TestChunkSiblingImagesShareChunks(t *testing.T) {
 	}
 
 	store := castore.NewMemStore()
-	encOne := func(s *Space) []byte {
+	encOne := func(s *Space) *Forest {
 		e := NewForestEncoder()
 		e.Add(s)
 		return e.Encode()
@@ -272,4 +341,163 @@ func TestChunkSiblingImagesShareChunks(t *testing.T) {
 	if added > 3 {
 		t.Fatalf("sibling image added %d chunks to a %d-chunk store", added, mid.Chunks)
 	}
+}
+
+// hostileRoot is a self-contained root payload whose page and table
+// counts claim nPages and nTables while carrying no ops and no tail.
+func hostileRoot(nPages, nTables uint32) []byte {
+	var p []byte
+	p = append(p, chunkRootVersion)
+	p = binary.LittleEndian.AppendUint32(p, 0) // depth
+	p = append(p, 0)                           // no parent
+	p = binary.LittleEndian.AppendUint32(p, nPages)
+	p = binary.LittleEndian.AppendUint32(p, 0) // no page ops
+	p = binary.LittleEndian.AppendUint32(p, nTables)
+	p = binary.LittleEndian.AppendUint32(p, 0) // no table ops
+	p = binary.LittleEndian.AppendUint32(p, 0) // empty tail
+	return p
+}
+
+// rawStore is a BlobStore that holds chunks as given, with no codec,
+// so allocation measurements see only the decoder's own allocations.
+type rawStore map[castore.Key][]byte
+
+func (s rawStore) Put(k castore.Key, b []byte) error { s[k] = b; return nil }
+
+func (s rawStore) Get(k castore.Key) ([]byte, error) {
+	if b, ok := s[k]; ok {
+		return b, nil
+	}
+	return nil, &castore.ChunkMissingError{Key: k}
+}
+
+func (s rawStore) Has(k castore.Key) (bool, error) { _, ok := s[k]; return ok, nil }
+
+func (s rawStore) Stat(k castore.Key) (castore.BlobInfo, error) {
+	if b, ok := s[k]; ok {
+		return castore.BlobInfo{Size: len(b), StoredSize: len(b)}, nil
+	}
+	return castore.BlobInfo{}, &castore.ChunkMissingError{Key: k}
+}
+
+// TestUnchunkBoundsHostileRootCounts is the regression test for root
+// decoding that sized its instance lists by the payload's header
+// counts: a 26-byte payload claiming 2^28 pages aborted the process out
+// of memory, and one claiming 2^27 tables allocated 7 GB before failing.
+// Both must fail typed while allocating on the order of the node itself.
+func TestUnchunkBoundsHostileRootCounts(t *testing.T) {
+	for name, payload := range map[string][]byte{
+		"pages":  hostileRoot(1<<28, 0),
+		"tables": hostileRoot(0, 1<<27),
+	} {
+		store := rawStore{}
+		node := castore.BuildNode(nil, nil, payload)
+		key := castore.KeyOf(node)
+		if err := store.Put(key, node); err != nil {
+			t.Fatal(err)
+		}
+		// TotalAlloc is process-wide; the least of a few runs is the
+		// decoder's own allocation.
+		least := uint64(1 << 62)
+		for i := 0; i < 3; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := UnchunkForest(store, key)
+			runtime.ReadMemStats(&after)
+			if !errors.As(err, new(*ImageFormatError)) {
+				t.Fatalf("%s: %d-byte payload claiming a huge count: got %v, want *ImageFormatError", name, len(payload), err)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew < least {
+				least = grew
+			}
+		}
+		if least >= uint64(16*len(node)) {
+			t.Fatalf("%s: unchunking a %d-byte root allocated %d bytes", name, len(node), least)
+		}
+	}
+}
+
+// fuzzFixture is the store FuzzUnchunkForest plants roots into: a full
+// root over a small space and its snapshot, and a delta root over it
+// after one more page was dirtied. Each root's leaf refs are returned
+// so a planted payload can be framed with the same references.
+func fuzzFixture(t testing.TB) (store *castore.MemStore, fullRoot castore.Key, fullLeaves, deltaLeaves []castore.Key) {
+	s := NewSpace()
+	if err := s.SetPerm(0, 6*PageSize, PermRW); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if err := s.WriteU64(Addr(i*PageSize), uint64(i)+1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap, _ := s.Snapshot()
+	if err := s.WriteU64(PageSize+8, 0xf00d); err != nil {
+		t.Fatal(err)
+	}
+	store = castore.NewMemStore()
+	fullRoot = chunkRoundTrip(t, store, encodePair(s, snap), castore.Key{})
+	if err := s.WriteU64(2*PageSize+8, 0xbeef); err != nil {
+		t.Fatal(err)
+	}
+	deltaRoot := chunkRoundTrip(t, store, encodePair(s, snap), fullRoot)
+	full, err := castore.GetNode(store, fullRoot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta, err := castore.GetNode(store, deltaRoot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(delta.NodeRefs) != 1 {
+		t.Fatal("fixture's second root is not a delta root")
+	}
+	return store, fullRoot, full.LeafRefs, delta.LeafRefs
+}
+
+// FuzzUnchunkForest plants arbitrary bytes as a forest root's payload,
+// framed as a real node and stored under its real key next to valid
+// page and table chunks (and, with delta set, referencing a valid
+// parent root), then reads the forest back and decodes it. The result
+// must be spaces or a typed error, never a panic, with allocation
+// bounded by the payload: no count in the payload may size anything
+// before the bytes that back it have been seen.
+func FuzzUnchunkForest(f *testing.F) {
+	store, fullRoot, fullLeaves, deltaLeaves := fuzzFixture(f)
+	f.Fuzz(func(t *testing.T, payload []byte, delta bool) {
+		var nodeRefs []castore.Key
+		leafRefs := fullLeaves
+		if delta {
+			nodeRefs, leafRefs = []castore.Key{fullRoot}, deltaLeaves
+		}
+		raw := castore.BuildNode(nodeRefs, leafRefs, payload)
+		key := castore.KeyOf(raw)
+		if had, _ := store.Has(key); !had {
+			if err := store.Put(key, raw); err != nil {
+				t.Fatal(err)
+			}
+			defer store.Delete(key)
+		}
+
+		var err error
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		forest, err := UnchunkForest(store, key)
+		if err == nil {
+			_, err = DecodeForest(forest)
+		}
+		runtime.ReadMemStats(&after)
+
+		if err != nil && !errors.As(err, new(*ImageFormatError)) && !errors.As(err, new(*ImageVersionError)) {
+			t.Fatalf("got %v, want spaces, *ImageFormatError or *ImageVersionError", err)
+		}
+		// A payload byte can legitimately cost kilobytes — a 9-byte copy
+		// op re-lists the parent's pages, a 5-byte space record builds a
+		// 16 KiB space — but never the megabytes a count-sized
+		// allocation takes.
+		limit := uint64(4<<20 + 64<<10*len(payload))
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > limit {
+			t.Fatalf("a %d-byte payload allocated %d bytes, limit %d", len(payload), grew, limit)
+		}
+	})
 }

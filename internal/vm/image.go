@@ -1,8 +1,7 @@
 package vm
 
-// Checkpoint image encoding: a versioned, canonical serialization of a
-// *forest* of spaces — typically every space's pagemap plus its merge
-// snapshot for a whole kernel space tree.
+// Checkpoint capture of a *forest* of spaces — typically every space's
+// pagemap plus its merge snapshot for a whole kernel space tree.
 //
 // Spaces in this system are not independent byte arrays: pages and whole
 // level-2 tables are shared copy-on-write between a space and its
@@ -11,45 +10,44 @@ package vm
 // pages by identity, Resnap re-shares only diverged tables, CopyFrom
 // skips tables already pointer-shared, and the kernel's virtual-time
 // cost model charges exactly the sharing that must be (re)established.
-// A serialization that materialized each space independently would
-// restore the same bytes but a different identity graph, and a resumed
-// run would charge different virtual times than the uninterrupted one.
+// A capture that materialized each space independently would restore
+// the same bytes but a different identity graph, and a resumed run
+// would charge different virtual times than the uninterrupted one.
 //
-// The encoder therefore serializes the object graph itself: every
-// distinct page and table is emitted once, in the deterministic order of
-// first encounter along a canonical walk (spaces in Add order, level-1
-// slots ascending, level-2 entries ascending), and spaces reference them
-// by index. A space and its snapshot are thus automatically
-// delta-encoded: everything unchanged since the snapshot is one shared
-// table or page reference, and only diverged content carries payload.
-// Dirty bitmaps and the (space, snapshot) identity links are part of the
-// image, so dirty-guided merges, CleanSince proofs and incremental
-// Resnap behave identically after a restore — including the virtual
-// times they charge.
+// The encoder therefore captures the object graph itself: every
+// distinct page and table is recorded once, in the deterministic order
+// of first encounter along a canonical walk (spaces in Add order,
+// level-1 slots ascending, level-2 entries ascending), and spaces
+// reference them by index. A space and its snapshot are thus
+// automatically delta-encoded: everything unchanged since the snapshot
+// is one shared table or page reference, and only diverged content
+// carries payload. Dirty bitmaps and the (space, snapshot) identity
+// links are part of the capture, so dirty-guided merges, CleanSince
+// proofs and incremental Resnap behave identically after a restore —
+// including the virtual times they charge.
 //
-// The encoding is canonical: identical forest state produces identical
-// bytes, which is what makes golden-file format tests meaningful. The
-// payload is guarded by a version byte (decoders reject newer versions
-// with a typed error) and a CRC32 trailer (corruption and truncation are
-// detected, also with typed errors).
+// A capture is a Forest value already in the shape it is persisted in:
+// the distinct page contents with their content keys, one layout record
+// per table with its page-id list, and a tail of space records and
+// snapshot links. ChunkForest (chunk.go) stores that value as
+// content-addressed chunks under one root node, UnchunkForest reads it
+// back, and DecodeForest rebuilds spaces from it; there is no other
+// serialized form. The value is canonical: identical forest state
+// produces identical pages, records and tail — hence identical chunks
+// and root — which is what makes golden tests of the persisted form
+// meaningful.
 
 import (
 	"encoding/binary"
 	"fmt"
 
+	"repro/internal/castore"
 	"repro/internal/imgenc"
 )
 
-// ImageVersion is the current forest-image format version. Decoders
-// accept exactly the versions they know how to parse and reject anything
-// newer with *ImageVersionError.
-const ImageVersion = 1
-
-// imageMagic introduces a forest image.
-const imageMagic = "DVMF"
-
 // ImageFormatError reports a structurally invalid, truncated or
-// corrupted forest image.
+// corrupted forest: a damaged root payload, a chunk of the wrong shape,
+// or an index out of range.
 type ImageFormatError struct {
 	Offset int    // byte offset where decoding failed (best effort)
 	Msg    string // what was wrong
@@ -59,8 +57,8 @@ func (e *ImageFormatError) Error() string {
 	return fmt.Sprintf("vm: bad image at byte %d: %s", e.Offset, e.Msg)
 }
 
-// ImageVersionError reports an image written by a format version this
-// decoder does not understand.
+// ImageVersionError reports a forest root written by a format version
+// this decoder does not understand.
 type ImageVersionError struct {
 	Version byte // version found in the image
 	Max     byte // newest version this decoder accepts
@@ -70,7 +68,40 @@ func (e *ImageVersionError) Error() string {
 	return fmt.Sprintf("vm: image version %d not supported (max %d)", e.Version, e.Max)
 }
 
-// ForestEncoder serializes a set of spaces preserving their full COW
+func formatErrorf(off int, format string, args ...any) *ImageFormatError {
+	return &ImageFormatError{Offset: off, Msg: fmt.Sprintf(format, args...)}
+}
+
+// Forest is one captured space forest in its persisted shape. It is
+// immutable once built: ForestEncoder.Encode copies every page it
+// records, so the captured spaces may keep running.
+type Forest struct {
+	pages    [][]byte      // distinct page contents, PageSize bytes each
+	pageKeys []castore.Key // content key of each page
+	tables   []tableRec    // one record per distinct table
+	tail     []byte        // space records, then snapshot links
+}
+
+// tableRec is one table instance: the chunk holding its layout (which
+// level-2 slots are mapped, with what permissions) plus its per-slot
+// page ids (0 = no page, else a 1-based index into the forest's pages).
+type tableRec struct {
+	chunk  castore.Key
+	layout []byte // u16 slot count n, then n × (u16 slot, u8 perm)
+	pids   []uint32
+}
+
+// Size is the forest's payload in bytes: page contents, table records
+// and the tail.
+func (f *Forest) Size() int {
+	n := len(f.pages)*PageSize + len(f.tail)
+	for _, rec := range f.tables {
+		n += len(rec.layout) + 4*len(rec.pids)
+	}
+	return n
+}
+
+// ForestEncoder captures a set of spaces preserving their full COW
 // sharing graph. Add every space first, then record snapshot links, then
 // Encode. The encoder only reads the spaces; they remain usable.
 type ForestEncoder struct {
@@ -111,8 +142,9 @@ func (e *ForestEncoder) LinkSnapshot(cur, ref *Space) {
 	}
 }
 
-// Encode serializes the registered forest.
-func (e *ForestEncoder) Encode() []byte {
+// Encode captures the registered forest: each distinct page is copied
+// and keyed once, so persisting the forest hashes nothing again.
+func (e *ForestEncoder) Encode() *Forest {
 	// Pass 1: assign page and table ids in canonical first-encounter order.
 	tableIdx := make(map[*table]int)
 	pageIdx := make(map[*page]int)
@@ -141,40 +173,47 @@ func (e *ForestEncoder) Encode() []byte {
 		}
 	}
 
-	// Pass 2: emit.
-	var b []byte
-	b = append(b, imageMagic...)
-	b = append(b, ImageVersion)
-
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(pages)))
-	for _, pg := range pages {
-		b = append(b, pg.data[:]...)
+	// Pass 2: record pages, tables, then the space and link tail.
+	f := &Forest{
+		pages:    make([][]byte, len(pages)),
+		pageKeys: make([]castore.Key, len(pages)),
+		tables:   make([]tableRec, len(tables)),
+	}
+	buf := make([]byte, len(pages)*PageSize)
+	for i, pg := range pages {
+		p := buf[i*PageSize : (i+1)*PageSize : (i+1)*PageSize]
+		copy(p, pg.data[:])
+		f.pages[i] = p
+		f.pageKeys[i] = castore.KeyOf(p)
 	}
 
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(tables)))
-	for _, t := range tables {
+	for i, t := range tables {
 		n := 0
 		for l2 := range t.ptes {
 			if t.ptes[l2].mapped() {
 				n++
 			}
 		}
-		b = binary.LittleEndian.AppendUint16(b, uint16(n))
+		layout := make([]byte, 0, 2+3*n)
+		layout = binary.LittleEndian.AppendUint16(layout, uint16(n))
+		pids := make([]uint32, 0, n)
 		for l2 := range t.ptes {
 			pe := t.ptes[l2]
 			if !pe.mapped() {
 				continue
 			}
-			b = binary.LittleEndian.AppendUint16(b, uint16(l2))
-			b = append(b, byte(pe.perm))
+			layout = binary.LittleEndian.AppendUint16(layout, uint16(l2))
+			layout = append(layout, byte(pe.perm))
 			if pe.pg == nil {
-				b = binary.LittleEndian.AppendUint32(b, 0)
+				pids = append(pids, 0)
 			} else {
-				b = binary.LittleEndian.AppendUint32(b, uint32(pageIdx[pe.pg]+1))
+				pids = append(pids, uint32(pageIdx[pe.pg]+1))
 			}
 		}
+		f.tables[i] = tableRec{chunk: castore.KeyOf(layout), layout: layout, pids: pids}
 	}
 
+	var b []byte
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(e.spaces)))
 	for _, s := range e.spaces {
 		var flags byte
@@ -219,77 +258,54 @@ func (e *ForestEncoder) Encode() []byte {
 		b = binary.LittleEndian.AppendUint32(b, uint32(l[0]))
 		b = binary.LittleEndian.AppendUint32(b, uint32(l[1]))
 	}
-
-	return imgenc.Seal(b)
+	f.tail = b
+	return f
 }
 
-// DecodeForest reconstructs the spaces of a forest image, restoring the
-// exact page/table sharing graph, dirty bitmaps, and snapshot identity
-// links (with freshly issued tokens). Corrupt or truncated input returns
-// *ImageFormatError; input from a newer format returns
-// *ImageVersionError.
-func DecodeForest(data []byte) ([]*Space, error) {
-	r, err := imgenc.Open(data, imageMagic, ImageVersion,
-		func(off int, msg string) error { return &ImageFormatError{Offset: off, Msg: msg} },
-		func(v byte) error { return &ImageVersionError{Version: v, Max: ImageVersion} })
-	if err != nil {
-		return nil, err
-	}
-
-	nPages := int(r.U32())
-	if r.Err == nil && nPages*PageSize > len(r.B) {
-		r.Failf("page count %d exceeds image size", nPages)
-	}
-	var pages []*page
-	if r.Err == nil {
-		pages = make([]*page, 0, nPages)
-	}
-	for i := 0; i < nPages && r.Err == nil; i++ {
-		pg := newPageFrom(r.Take(PageSize))
+// DecodeForest reconstructs the spaces of a forest, restoring the exact
+// page/table sharing graph, dirty bitmaps, and snapshot identity links
+// (with freshly issued tokens). Every index the forest holds — page ids,
+// level-2 slots, root and dirty slots, table ids, link ends — is range
+// checked, as is the tail's framing; a violation returns
+// *ImageFormatError. The chunk shapes themselves are UnchunkForest's to
+// check as the chunks are read.
+func DecodeForest(f *Forest) ([]*Space, error) {
+	pages := make([]*page, len(f.pages))
+	for i, b := range f.pages {
+		pg := newPageFrom(b)
 		pg.refs.Store(0) // references added as ptes adopt the page
-		pages = append(pages, pg)
+		pages[i] = pg
 	}
 
-	nTables := int(r.U32())
-	if r.Err == nil && nTables*3 > len(r.B) {
-		r.Failf("table count %d exceeds image size", nTables)
-	}
-	var tables []*table
-	if r.Err == nil {
-		tables = make([]*table, 0, nTables)
-	}
-	for i := 0; i < nTables && r.Err == nil; i++ {
+	tables := make([]*table, len(f.tables))
+	for i, rec := range f.tables {
 		t := newTable()
 		t.refs.Store(0)
-		n := int(r.U16())
-		for j := 0; j < n && r.Err == nil; j++ {
-			l2 := int(r.U16())
-			perm := Perm(r.U8())
-			pid := int(r.U32())
-			if r.Err != nil {
-				break
-			}
+		for j, pid := range rec.pids {
+			l2 := int(binary.LittleEndian.Uint16(rec.layout[2+3*j:]))
+			perm := Perm(rec.layout[2+3*j+2])
 			if l2 >= tableEntries {
-				r.Failf("pte index %d out of range", l2)
-				break
+				return nil, formatErrorf(0, "table %d: pte index %d out of range", i, l2)
 			}
 			var pg *page
 			if pid != 0 {
-				if pid > len(pages) {
-					r.Failf("page id %d out of range (%d pages)", pid, len(pages))
-					break
+				if int(pid) > len(pages) {
+					return nil, formatErrorf(0, "table %d: page id %d out of range (%d pages)", i, pid, len(pages))
 				}
 				pg = pages[pid-1]
 				pg.refs.Add(1)
 			}
 			t.ptes[l2] = pte{pg: pg, perm: perm}
 		}
-		tables = append(tables, t)
+		tables[i] = t
 	}
 
+	r := &imgenc.Reader{B: f.tail, Wrap: func(off int, msg string) error {
+		return &ImageFormatError{Offset: off, Msg: "tail: " + msg}
+	}}
 	nSpaces := int(r.U32())
 	if r.Err == nil && nSpaces > len(r.B) {
-		r.Failf("space count %d exceeds image size", nSpaces)
+		r.Failf("space count %d exceeds tail size", nSpaces)
 	}
 	var spaces []*Space
 	if r.Err == nil {
@@ -332,8 +348,8 @@ func DecodeForest(data []byte) ([]*Space, error) {
 	}
 
 	nLinks := int(r.U32())
-	if r.Err == nil && nLinks*8 > len(r.B) {
-		r.Failf("link count %d exceeds image size", nLinks)
+	if r.Err == nil && nLinks*8 > r.Remaining() {
+		r.Failf("link count %d exceeds tail size", nLinks)
 	}
 	for i := 0; i < nLinks && r.Err == nil; i++ {
 		ci := int(r.U32())
@@ -357,7 +373,7 @@ func DecodeForest(data []byte) ([]*Space, error) {
 	}
 	// Every restored object needs at least one reference for the Free
 	// accounting to balance; unreferenced pages/tables (possible only in
-	// hand-built images) are simply dropped.
+	// hand-built forests) are simply dropped.
 	for _, t := range tables {
 		if t.refs.Load() == 0 {
 			t.refs.Store(1)

@@ -4,9 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"runtime"
 	"testing"
+
+	"repro/internal/castore"
 )
 
 // buildPair returns a space with some content plus its snapshot, with
@@ -32,7 +33,7 @@ func buildPair(t *testing.T) (*Space, *Space) {
 	return s, snap
 }
 
-func encodePair(cur, snap *Space) []byte {
+func encodePair(cur, snap *Space) *Forest {
 	e := NewForestEncoder()
 	e.Add(cur)
 	e.Add(snap)
@@ -164,89 +165,106 @@ func TestForestEncodeCanonical(t *testing.T) {
 	cur, snap := buildPair(t)
 	a := encodePair(cur, snap)
 	b := encodePair(cur, snap)
-	if !bytes.Equal(a, b) {
+	if !bytes.Equal(a.Root(), b.Root()) || !a.Equal(b) {
 		t.Fatal("encoding is not deterministic")
+	}
+	// Keys are the content hashes of what the forest holds.
+	for i, p := range a.pages {
+		if castore.KeyOf(p) != a.pageKeys[i] {
+			t.Fatalf("page %d key is not its content hash", i)
+		}
+	}
+	for i, rec := range a.tables {
+		if castore.KeyOf(rec.layout) != rec.chunk {
+			t.Fatalf("table %d key is not its layout hash", i)
+		}
 	}
 }
 
 func TestForestDecodeRejectsBadImages(t *testing.T) {
 	cur, snap := buildPair(t)
-	img := encodePair(cur, snap)
-
+	f := encodePair(cur, snap)
 	var ferr *ImageFormatError
-	var verr *ImageVersionError
 
-	// Truncation at various points.
-	for _, cut := range []int{0, 3, 5, len(img) / 2, len(img) - 1} {
-		if _, err := DecodeForest(img[:cut]); !errors.As(err, &ferr) {
-			t.Fatalf("truncated at %d: got %v, want *ImageFormatError", cut, err)
+	// withTail and withTable return copies of f with one part replaced,
+	// leaving f itself intact.
+	withTail := func(tail []byte) *Forest {
+		g := *f
+		g.tail = tail
+		return &g
+	}
+	withTable := func(i int, rec tableRec) *Forest {
+		g := *f
+		g.tables = append([]tableRec(nil), f.tables...)
+		g.tables[i] = rec
+		return &g
+	}
+
+	// Truncation of the tail at various points, and trailing bytes.
+	for _, cut := range []int{0, 3, 5, len(f.tail) / 2, len(f.tail) - 1} {
+		if _, err := DecodeForest(withTail(f.tail[:cut])); !errors.As(err, &ferr) {
+			t.Fatalf("tail truncated at %d: got %v, want *ImageFormatError", cut, err)
 		}
 	}
-	// Bit flip in the middle (page data): CRC catches it.
-	bad := append([]byte(nil), img...)
-	bad[len(bad)/2] ^= 0x40
-	if _, err := DecodeForest(bad); !errors.As(err, &ferr) {
-		t.Fatalf("corrupt: got %v, want *ImageFormatError", err)
+	if _, err := DecodeForest(withTail(append(append([]byte(nil), f.tail...), 0))); !errors.As(err, &ferr) {
+		t.Fatalf("trailing byte: got %v, want *ImageFormatError", err)
 	}
-	// Bad magic.
-	bad = append([]byte(nil), img...)
-	bad[0] = 'X'
-	fixCRC(bad)
-	if _, err := DecodeForest(bad); !errors.As(err, &ferr) {
-		t.Fatalf("bad magic: got %v, want *ImageFormatError", err)
-	}
-	// Future version is rejected with the typed version error, so a
-	// format bump fails closed on old decoders.
-	bad = append([]byte(nil), img...)
-	bad[4] = ImageVersion + 1
-	fixCRC(bad)
-	_, err := DecodeForest(bad)
-	if !errors.As(err, &verr) {
-		t.Fatalf("future version: got %v, want *ImageVersionError", err)
-	}
-	if verr.Version != ImageVersion+1 || verr.Max != ImageVersion {
-		t.Fatalf("version error fields: %+v", verr)
-	}
-}
 
-// fixCRC rewrites the image trailer after a deliberate mutation so the
-// decoder sees the mutation itself, not the checksum mismatch.
-func fixCRC(img []byte) {
-	payload := img[:len(img)-4]
-	binary.LittleEndian.PutUint32(img[len(img)-4:], crc32.ChecksumIEEE(payload))
+	// Out-of-range indices: a page id past the page list, a level-2
+	// slot past the table, a root slot naming a missing table, a link
+	// naming a missing space.
+	rec := f.tables[0]
+	pids := append([]uint32(nil), rec.pids...)
+	pids[0] = uint32(len(f.pages) + 1)
+	if _, err := DecodeForest(withTable(0, tableRec{chunk: rec.chunk, layout: rec.layout, pids: pids})); !errors.As(err, &ferr) {
+		t.Fatalf("page id out of range: got %v, want *ImageFormatError", err)
+	}
+	layout := append([]byte(nil), rec.layout...)
+	binary.LittleEndian.PutUint16(layout[2:], tableEntries)
+	if _, err := DecodeForest(withTable(0, tableRec{chunk: rec.chunk, layout: layout, pids: rec.pids})); !errors.As(err, &ferr) {
+		t.Fatalf("pte index out of range: got %v, want *ImageFormatError", err)
+	}
+	// Tail layout: u32 spaces, then per space u8 flags, u16 root count,
+	// (u16 slot, u32 table id)...; the first root entry starts at 7.
+	for name, mutate := range map[string]func(tail []byte){
+		"root slot":   func(tail []byte) { binary.LittleEndian.PutUint16(tail[7:], tableEntries) },
+		"table id":    func(tail []byte) { binary.LittleEndian.PutUint32(tail[9:], uint32(len(f.tables)+1)) },
+		"link target": func(tail []byte) { binary.LittleEndian.PutUint32(tail[len(tail)-4:], 2) },
+	} {
+		tail := append([]byte(nil), f.tail...)
+		mutate(tail)
+		if _, err := DecodeForest(withTail(tail)); !errors.As(err, &ferr) {
+			t.Fatalf("%s out of range: got %v, want *ImageFormatError", name, err)
+		}
+	}
+
+	// The untouched forest still decodes: the copies above shared its
+	// slices without changing them.
+	if _, err := DecodeForest(f); err != nil {
+		t.Fatalf("pristine forest: %v", err)
+	}
 }
 
 // TestForestDecodeBoundsHostileCounts is the regression test for an
-// out-of-memory abort: a forest whose CRC is valid but whose page, table
-// or space count claims 2^31 entries must fail with *ImageFormatError
-// without first allocating a slice sized by the claimed count.
+// out-of-memory abort: a forest tail whose space count claims 2^31
+// entries must fail with *ImageFormatError without first allocating a
+// slice sized by the claimed count.
 func TestForestDecodeBoundsHostileCounts(t *testing.T) {
 	const huge = 1 << 31
-	header := func() []byte {
-		return append([]byte(imageMagic), ImageVersion)
-	}
-	cases := map[string][]byte{
-		"pages":  binary.LittleEndian.AppendUint32(header(), huge),
-		"tables": binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(header(), 0), huge),
-		"spaces": binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(
-			binary.LittleEndian.AppendUint32(header(), 0), 0), huge),
-	}
-	for name, b := range cases {
-		img := append(b, make([]byte, 4096)...) // room for a plausible body
-		img = append(img, 0, 0, 0, 0)
-		fixCRC(img)
+	tail := binary.LittleEndian.AppendUint32(nil, huge)
+	tail = append(tail, make([]byte, 4096)...) // room for a plausible body
+	f := &Forest{tail: tail}
 
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		_, err := DecodeForest(img)
-		runtime.ReadMemStats(&after)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeForest(f)
+	runtime.ReadMemStats(&after)
 
-		var ferr *ImageFormatError
-		if !errors.As(err, &ferr) {
-			t.Fatalf("%s: 2^31 count: got %v, want *ImageFormatError", name, err)
-		}
-		if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(16*len(img)) {
-			t.Fatalf("%s: decoding a %d-byte image allocated %d bytes", name, len(img), grew)
-		}
+	var ferr *ImageFormatError
+	if !errors.As(err, &ferr) {
+		t.Fatalf("2^31 space count: got %v, want *ImageFormatError", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(16*len(tail)) {
+		t.Fatalf("decoding a %d-byte tail allocated %d bytes", len(tail), grew)
 	}
 }

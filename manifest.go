@@ -2,16 +2,15 @@ package repro
 
 // Store-backed checkpoints: SaveImage/LoadImage and the Manifest chain.
 //
-// Image.Bytes is the flat, single-blob form of a checkpoint. This file
-// is the chunked form: the image's kernel section is split into its
-// small metadata and its large vm forest (kernel.SplitImage), the
-// forest is transcoded into content-addressed chunks (vm.ChunkForest),
-// and a Manifest — a small CRC-framed root object — ties together the
-// forest root, the session metadata and the previous manifest of the
-// chain. Because the chunk layer is an exact transcoding, an image
-// loaded back from a store is byte-identical to the image that was
-// saved, and a resume from a store is bit-identical to a resume from
-// the flat form.
+// A store is the only place a checkpoint is persisted. An Image is
+// already split the way the store wants it: its memory forest goes into
+// content-addressed page and table chunks under one root node
+// (vm.ChunkForest, reusing the page keys the capture computed), its
+// session state and kernel metadata go into one metadata leaf, and a
+// Manifest — a small CRC-framed root object — ties together the forest
+// root, the metadata leaf and the previous manifest of the chain.
+// LoadImage reads back the same forest and metadata, so a resume from a
+// store is bit-identical to continuing from the in-memory image.
 //
 // Chaining: each Suspend links the new manifest to the session's
 // previous one, and the forest root delta-encodes against the parent's.
@@ -30,7 +29,6 @@ import (
 	"strings"
 
 	"repro/internal/castore"
-	"repro/internal/kernel"
 	"repro/internal/vm"
 )
 
@@ -57,7 +55,7 @@ func (e *ManifestError) Error() string { return "repro: bad manifest: " + e.Msg 
 type Manifest struct {
 	key    castore.Key
 	forest castore.Key // root node of the chunked vm forest
-	meta   castore.Key // session metadata leaf (flat Image with split kernel)
+	meta   castore.Key // metadata leaf (Image minus its forest)
 	parent castore.Key // previous manifest in the chain (zero when none)
 	seq    uint64
 	raw    []byte
@@ -133,9 +131,8 @@ func manifestFromNode(key castore.Key, node *castore.Node, raw []byte) (*Manifes
 // not re-stored and the new root delta-encodes against the parent's —
 // the incremental form Session.Suspend chains automatically.
 func SaveImage(store BlobStore, img *Image, parent *Manifest) (*Manifest, error) {
-	kmeta, forest, err := kernel.SplitImage(img.Kernel)
-	if err != nil {
-		return nil, err
+	if img.forest == nil {
+		return nil, &ImageError{Msg: "image holds no captured machine state"}
 	}
 	var parentForest, parentKey castore.Key
 	var seq uint64
@@ -143,14 +140,12 @@ func SaveImage(store BlobStore, img *Image, parent *Manifest) (*Manifest, error)
 		parentForest, parentKey = parent.forest, parent.key
 		seq = parent.seq + 1
 	}
-	root, err := vm.ChunkForest(store, forest, parentForest)
+	root, err := vm.ChunkForest(store, img.forest, parentForest)
 	if err != nil {
 		return nil, err
 	}
 
-	metaImg := *img
-	metaImg.Kernel = kmeta
-	metaBytes, err := metaImg.Bytes()
+	metaBytes, err := img.metaBytes()
 	if err != nil {
 		return nil, err
 	}
@@ -178,29 +173,24 @@ func SaveImage(store BlobStore, img *Image, parent *Manifest) (*Manifest, error)
 	return &Manifest{key: key, forest: root, meta: metaKey, parent: parentKey, seq: seq, raw: raw}, nil
 }
 
-// LoadImage reassembles the checkpoint image a manifest references.
-// The result is byte-identical to the image SaveImage stored: missing
-// chunks surface as *ChunkMissingError, damaged ones as
-// *ChunkHashError, and structural problems as the owning layer's typed
-// image error.
+// LoadImage reads back the checkpoint image a manifest references: the
+// same metadata and forest SaveImage stored. Missing chunks surface as
+// *ChunkMissingError, damaged ones as *ChunkHashError, and structural
+// problems as the owning layer's typed image error; the kernel
+// metadata is validated when the image is resumed.
 func LoadImage(store BlobStore, m *Manifest) (*Image, error) {
 	metaBytes, err := store.Get(m.meta)
 	if err != nil {
 		return nil, err
 	}
-	im, err := DecodeImage(metaBytes)
+	im, err := decodeMeta(metaBytes)
 	if err != nil {
 		return nil, err
 	}
-	forest, err := vm.UnchunkForest(store, m.forest)
+	im.forest, err = vm.UnchunkForest(store, m.forest)
 	if err != nil {
 		return nil, err
 	}
-	full, err := kernel.JoinImage(im.Kernel, forest)
-	if err != nil {
-		return nil, err
-	}
-	im.Kernel = full
 	return im, nil
 }
 

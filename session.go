@@ -37,7 +37,7 @@ import (
 // an explicit sequence of barrier-delimited phases, each of which forks,
 // joins and barriers as it pleases but returns with every thread
 // collected. At any phase barrier the Session can capture an Image — a
-// versioned serialization of the entire space tree (memory, snapshots,
+// versioned capture of the entire space tree (memory, snapshots,
 // COW sharing, dirty tracking), every space's virtual time, instruction
 // and traffic counters, the device cursors, the runtime's allocator and
 // placement state, the scheduler state the program stashes, and (when
@@ -445,7 +445,7 @@ func (s *Session) runPhased(p Program, img *Image, stop int) (RunResult, *Image,
 	m := kernel.New(s.deviceConfig())
 	start := 0
 	if img != nil {
-		if err := m.Restore(img.Kernel); err != nil {
+		if err := m.Restore(img.kernel, img.forest); err != nil {
 			return RunResult{}, nil, err
 		}
 		start = img.Phase
@@ -506,14 +506,15 @@ func (s *Session) runPhased(p Program, img *Image, stop int) (RunResult, *Image,
 	return res, captured, progErr
 }
 
-// capture takes one checkpoint at a phase barrier: the kernel image of
-// the whole space tree plus the runtime, program and trace state.
+// capture takes one checkpoint at a phase barrier: the kernel metadata
+// and memory forest of the whole space tree plus the runtime, program
+// and trace state.
 func (s *Session) capture(env *Env, rt *RT, p Program, resumePhase int) (*Image, error) {
-	kimg, err := env.Checkpoint(kernel.CheckpointOpts{AllowParked: rt.DelegateRefs()})
+	kmeta, forest, err := env.Checkpoint(kernel.CheckpointOpts{AllowParked: rt.DelegateRefs()})
 	if err != nil {
 		return nil, err
 	}
-	im := &Image{Phase: resumePhase, RT: rt.ExportState(), Kernel: kimg}
+	im := &Image{Phase: resumePhase, RT: rt.ExportState(), kernel: kmeta, forest: forest}
 	if p.Snapshot != nil {
 		im.User = p.Snapshot(rt)
 	}
@@ -531,13 +532,15 @@ type StepResult struct {
 	Phase int
 	// Done reports that every phase has run; Result is valid.
 	Done bool
-	// Pages is the size of the resting checkpoint's kernel image in
-	// whole pages — the session's resident cost while Quiescent.
+	// Pages is the size of the resting checkpoint — its kernel metadata
+	// plus its memory forest — in whole pages: the session's resident
+	// cost while Quiescent.
 	Pages int
-	// Digest is the content key of the resting checkpoint's canonical
-	// serialization. Because images are canonical, two executions of the
-	// same slice from the same checkpoint must produce equal digests —
-	// the bit-identity a retrying server asserts.
+	// Digest is a content hash of the resting checkpoint: its metadata
+	// leaf and the full root of its forest, which names every page and
+	// table chunk by content key. Because checkpoints are canonical, two
+	// executions of the same slice from the same checkpoint must produce
+	// equal digests — the bit-identity a retrying server asserts.
 	Digest ChunkKey
 	// Result is the machine result of the final slice (Done only).
 	Result RunResult
@@ -664,12 +667,12 @@ func (s *Session) Step(budget int) (StepResult, error) {
 	sr := StepResult{Phase: p.Phases}
 	if s.current != nil {
 		sr.Phase = s.current.Phase
-		sr.Pages = len(s.current.Kernel) >> vm.PageShift
-		raw, err := s.current.Bytes()
+		sr.Pages = (len(s.current.kernel) + s.current.forest.Size()) >> vm.PageShift
+		digest, err := s.current.digest()
 		if err != nil {
 			return StepResult{}, err
 		}
-		sr.Digest = castore.KeyOf(raw)
+		sr.Digest = digest
 	}
 	s.pos = sr.Phase
 	sr.Done = sr.Phase == p.Phases
@@ -746,8 +749,12 @@ func (s *Session) LastManifest() *Manifest {
 // --- checkpoint images --------------------------------------------------------
 
 // Image is one captured checkpoint: everything a fresh process needs to
-// continue the run bit-identically. Serialize with Bytes, reload with
-// DecodeImage.
+// continue the run bit-identically. Its machine state is the kernel's
+// capture in two parts: a small metadata image (configuration, device
+// cursors, every space's record) and the memory forest in the shape
+// the store persists it. An Image is stored with SaveImage — the forest
+// as content-addressed chunks, everything else in one metadata leaf —
+// and read back with LoadImage.
 type Image struct {
 	// Phase is the phase index the resumed run continues at.
 	Phase int
@@ -760,18 +767,20 @@ type Image struct {
 	// mode only): the part of the log a resumed recording splices in
 	// front of its own.
 	TracePrefix *TraceLog
-	// Kernel is the machine image: the whole space tree, counters and
-	// device cursors.
-	Kernel []byte
+
+	kernel []byte     // kernel metadata image (kernel.Env.Checkpoint)
+	forest *vm.Forest // memory of every space and snapshot
 }
 
-// ImageVersion is the session-image format version. The kernel section
-// carries its own version (kernel.CheckpointVersion).
+// ImageVersion is the version of an image's metadata leaf. The kernel
+// metadata it embeds (kernel.CheckpointVersion) and the forest root
+// carry their own versions.
 const ImageVersion = 1
 
 const imageMagic = "DSES"
 
-// ImageError reports a structurally invalid session image.
+// ImageError reports a structurally invalid image: a damaged metadata
+// leaf, or an Image holding no captured machine state.
 type ImageError struct {
 	Offset int
 	Msg    string
@@ -781,9 +790,20 @@ func (e *ImageError) Error() string {
 	return fmt.Sprintf("repro: bad session image at byte %d: %s", e.Offset, e.Msg)
 }
 
-// Bytes serializes the image. The encoding is canonical: the same image
-// state always produces the same bytes.
-func (im *Image) Bytes() ([]byte, error) {
+// digest hashes the image's metadata leaf and its forest's full root:
+// the page and table keys the capture computed, not the pages again.
+func (im *Image) digest() (ChunkKey, error) {
+	meta, err := im.metaBytes()
+	if err != nil {
+		return ChunkKey{}, err
+	}
+	return castore.KeyOf(append(meta, im.forest.Root()...)), nil
+}
+
+// metaBytes serializes everything but the forest: the metadata leaf
+// SaveImage stores. The encoding is canonical: the same image state
+// always produces the same bytes.
+func (im *Image) metaBytes() ([]byte, error) {
 	var b []byte
 	b = append(b, imageMagic...)
 	b = append(b, ImageVersion)
@@ -833,16 +853,15 @@ func (im *Image) Bytes() ([]byte, error) {
 		b = append(b, 0)
 	}
 
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(im.Kernel)))
-	b = append(b, im.Kernel...)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(im.kernel)))
+	b = append(b, im.kernel...)
 	return imgenc.Seal(b), nil
 }
 
-// DecodeImage parses a serialized session image. Corrupt or truncated
-// input returns *ImageError; a newer format version returns
-// *kernel.ImageVersionError-style typed errors from the embedded
-// sections or *ImageError here.
-func DecodeImage(data []byte) (*Image, error) {
+// decodeMeta parses a metadata leaf into an Image without its forest.
+// Corrupt or truncated input, or a newer format version, returns
+// *ImageError.
+func decodeMeta(data []byte) (*Image, error) {
 	r, err := imgenc.Open(data, imageMagic, ImageVersion,
 		func(off int, msg string) error { return &ImageError{Offset: off, Msg: msg} },
 		func(v byte) error {
@@ -894,7 +913,7 @@ func DecodeImage(data []byte) (*Image, error) {
 			im.TracePrefix = l
 		}
 	}
-	im.Kernel = append([]byte(nil), r.Take(int(r.U32()))...)
+	im.kernel = append([]byte(nil), r.Take(int(r.U32()))...)
 	if r.Err == nil && r.Remaining() != 0 {
 		r.Failf("%d trailing bytes", r.Remaining())
 	}

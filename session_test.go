@@ -43,26 +43,20 @@ func mustSession(t testing.TB, opts ...SessionOption) *Session {
 	return s
 }
 
-// roundTripImage serializes and reparses an image, simulating a fresh
-// process that received the bytes.
-func roundTripImage(t testing.TB, img *Image) *Image {
+// imageDigest is the digest Step reports for an image resting in memory.
+func imageDigest(t testing.TB, img *Image) ChunkKey {
 	t.Helper()
-	data, err := img.Bytes()
+	d, err := img.digest()
 	if err != nil {
 		t.Fatal(err)
 	}
-	img2, err := DecodeImage(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return img2
+	return d
 }
 
 // roundTripStore ships an image through a content-addressed store —
-// SaveImage, manifest bytes, LoadImage — asserting the loaded image is
-// byte-identical to the flat form. Resuming its result therefore
-// exercises the chunked path and the flat path at once: they are
-// literally the same bytes.
+// SaveImage, manifest bytes, LoadImage — as a fresh process would
+// receive it, asserting the loaded image equals the saved one: the
+// same metadata and the same forest, page for page.
 func roundTripStore(t testing.TB, img *Image) *Image {
 	t.Helper()
 	store := NewMemStore()
@@ -78,16 +72,8 @@ func roundTripStore(t testing.TB, img *Image) *Image {
 	if err != nil {
 		t.Fatalf("LoadImage: %v", err)
 	}
-	flat, err := img.Bytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := img2.Bytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(flat, loaded) {
-		t.Fatalf("store round trip changed the image: %d bytes vs %d", len(loaded), len(flat))
+	if imageDigest(t, img2) != imageDigest(t, img) || !img2.forest.Equal(img.forest) {
+		t.Fatal("store round trip changed the image")
 	}
 	return img2
 }
@@ -174,7 +160,7 @@ func checkpointEverywhere(t *testing.T, opts []SessionOption, p Program) {
 			}
 			continue
 		}
-		res, rerr := resumeImage(t, mustSession(t, opts...), roundTripStore(t, roundTripImage(t, img)), p)
+		res, rerr := resumeImage(t, mustSession(t, opts...), roundTripStore(t, img), p)
 		if got := keyOf(res, rerr); got != want {
 			t.Fatalf("resume from barrier %d diverged:\n got %+v\nwant %+v", k, got, want)
 		}
@@ -373,7 +359,7 @@ func TestSessionCheckpointResumeDsched(t *testing.T) {
 		if err != nil {
 			t.Fatalf("checkpoint at %d: %v", k, err)
 		}
-		res, rerr := resumeImage(t, sess(), roundTripImage(t, img), p)
+		res, rerr := resumeImage(t, sess(), roundTripStore(t, img), p)
 		if got := keyOf(res, rerr); got != want {
 			t.Fatalf("dsched resume from barrier %d diverged:\n got %+v\nwant %+v", k, got, want)
 		}
@@ -436,7 +422,7 @@ func TestSessionCheckpointResumeRecordedTrace(t *testing.T) {
 			t.Fatalf("record-mode image at %d carries no trace prefix", k)
 		}
 		resumed := mk()
-		res, rerr := resumeImage(t, resumed, roundTripImage(t, img), p)
+		res, rerr := resumeImage(t, resumed, roundTripStore(t, img), p)
 		if got := keyOf(res, rerr); got != want {
 			t.Fatalf("recorded resume from %d diverged:\n got %+v\nwant %+v", k, got, want)
 		}
@@ -461,7 +447,7 @@ func TestSessionCheckpointResumeRecordedTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, rerr := resumeImage(t, mustSession(t, replayOpts...), roundTripImage(t, img), p)
+	res, rerr := resumeImage(t, mustSession(t, replayOpts...), roundTripStore(t, img), p)
 	if got := keyOf(res, rerr); got != want {
 		t.Fatalf("replayed resume diverged:\n got %+v\nwant %+v", got, want)
 	}
@@ -529,7 +515,7 @@ func TestSessionCheckpointResumeConsoleSplice(t *testing.T) {
 			t.Fatalf("checkpoint at %d: %v", k, err)
 		}
 		resumed := mk()
-		res, rerr := resumeImage(t, resumed, roundTripImage(t, img), p)
+		res, rerr := resumeImage(t, resumed, roundTripStore(t, img), p)
 		if got := keyOf(res, rerr); got != want {
 			t.Fatalf("console resume from %d diverged:\n got %+v\nwant %+v", k, got, want)
 		}
@@ -581,7 +567,7 @@ func TestSessionCheckpointResumeProperty(t *testing.T) {
 			}
 			continue
 		}
-		res, rerr := resumeImage(t, mustSession(t, opts...), roundTripImage(t, img), p)
+		res, rerr := resumeImage(t, mustSession(t, opts...), roundTripStore(t, img), p)
 		if got := keyOf(res, rerr); got != want {
 			t.Fatalf("iter %d (threads=%d phases=%d nodes=%d tree=%v conflict=%d ck=%d) diverged:\n got %+v\nwant %+v",
 				it, threads, phases, nodes, tree, conflictAt, k, got, want)
@@ -597,7 +583,7 @@ func TestSessionImageRoundTripAndRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := img.Bytes()
+	data, err := img.metaBytes()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -606,20 +592,25 @@ func TestSessionImageRoundTripAndRejects(t *testing.T) {
 	}
 	var ie *ImageError
 	for _, cut := range []int{0, 4, len(data) / 2, len(data) - 1} {
-		if _, err := DecodeImage(data[:cut]); !errors.As(err, &ie) {
+		if _, err := decodeMeta(data[:cut]); !errors.As(err, &ie) {
 			t.Fatalf("truncated at %d: got %v", cut, err)
 		}
 	}
 	bad := append([]byte(nil), data...)
 	bad[len(bad)/3] ^= 0x20
-	if _, err := DecodeImage(bad); !errors.As(err, &ie) {
+	if _, err := decodeMeta(bad); !errors.As(err, &ie) {
 		t.Fatalf("corrupt: got %v", err)
 	}
-	// Resume under a mismatched machine fails with the typed kernel error.
-	img2, err := DecodeImage(data)
+	// The metadata leaf round-trips exactly.
+	img2, err := decodeMeta(data)
 	if err != nil {
 		t.Fatal(err)
 	}
+	img2.forest = img.forest
+	if imageDigest(t, img2) != imageDigest(t, img) {
+		t.Fatal("metadata leaf did not round-trip")
+	}
+	// Resume under a mismatched machine fails with the typed kernel error.
 	var mm *ImageMismatchError
 	_, err = resumeImage(t, mustSession(t, WithMachine(MachineConfig{Nodes: 2, MergeWorkers: 1})),
 		img2, arrayProgram(2, 2, 128, -1, nil))

@@ -95,7 +95,7 @@ func TestUprocProgramCheckpointEverywhere(t *testing.T) {
 		if err != nil {
 			t.Fatalf("barrier %d: checkpoint: %v", k, err)
 		}
-		img = roundTripStore(t, roundTripImage(t, img))
+		img = roundTripStore(t, img)
 		res, err := resumeImage(t, mustSession(t, WithConsole(nil, &outB)), img, uprocTestProgram(reg))
 		if got := keyOf(res, err); got != want {
 			t.Fatalf("barrier %d: resumed result %+v, uninterrupted %+v", k, got, want)
@@ -186,7 +186,7 @@ func TestUprocResumeRejectsForeignImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	img = roundTripImage(t, img)
+	img = roundTripStore(t, img)
 	delete(img.User, "uproc")
 	_, err = resumeImage(t, mustSession(t), img, uprocTestProgram(reg))
 	var se *UprocStateError
