@@ -44,12 +44,14 @@ examples:
 # test` already replays each target's committed seeds under
 # testdata/fuzz; this explores beyond them. A failing input is written
 # to that testdata directory, ready to commit as a regression seed.
+# Minimizing a new interesting input is capped at 2s (Go's default is
+# 60s), so targets with costly execs spend their 10s fuzzing.
 fuzz:
 	@set -e; $(GO) list -f '{{.ImportPath}} {{.Dir}}' ./... | while read -r pkg dir; do \
 		grep -qs '^func Fuzz' "$$dir"/*_test.go || continue; \
 		for f in $$($(GO) test -list '^Fuzz' "$$pkg" | grep '^Fuzz'); do \
 			echo "== $$pkg $$f"; \
-			$(GO) test -run='^$$' -fuzz="^$$f$$" -fuzztime=10s "$$pkg"; \
+			$(GO) test -run='^$$' -fuzz="^$$f$$" -fuzztime=10s -fuzzminimizetime=2s "$$pkg"; \
 		done; \
 	done
 

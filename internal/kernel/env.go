@@ -194,6 +194,12 @@ func (e *Env) WriteF64(addr vm.Addr, v float64) {
 	e.fault(e.sp.mem.WriteF64(addr, v))
 }
 
+// The bulk typed accessors below read and write the space's page frames
+// in place, decoding and encoding each little-endian element straight
+// from page memory with no staging copy. A fault stops them as it stops
+// Read and Write: everything before the faulting page has already been
+// transferred.
+
 // ReadU32s bulk-loads little-endian uint32s.
 func (e *Env) ReadU32s(addr vm.Addr, dst []uint32) {
 	e.memTick(4 * len(dst))

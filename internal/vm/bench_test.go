@@ -112,10 +112,9 @@ func BenchmarkBulkReadWrite(b *testing.B) {
 	b.SetBytes(int64(2 * len(buf)))
 }
 
-// Page-spanning bulk access benchmarks for the single-walk Read/Write
-// path: one cursor walk per page instead of an entry() permission lookup
-// followed by a second split/ownTable walk inside writablePage. The
-// "cowbreak" variant re-shares the pages each iteration so every
+// Page-spanning bulk access benchmarks for Read and Write, which walk
+// one readSpan or writeSpan per page: one pte lookup serves both the
+// permission check and the data access. The "cowbreak" variant re-shares the pages each iteration so every
 // full-page store exercises the fresh-page install path (no read-copy);
 // "owned" writes through already-private pages, the steady-state loop.
 
@@ -175,6 +174,69 @@ func BenchmarkPageSpanRead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := s.Read(0, buf); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTypedAccess times the typed bulk accessors on warm owned
+// pages: small (16-element) and large (64 KiB) accesses, page-aligned
+// and unaligned. The unaligned small access straddles a page boundary
+// and the unaligned large one starts 2 bytes into a page, so both carry
+// elements that cross pages.
+func BenchmarkTypedAccess(b *testing.B) {
+	s := benchSpace(64)
+	for _, size := range []struct {
+		name      string
+		u32, f64  int  // elements per access
+		unaligned Addr // start of the unaligned access
+	}{
+		{"small", 16, 16, 2*PageSize - 30},
+		{"large", 16 << 10, 8 << 10, PageSize + 2},
+	} {
+		u32 := make([]uint32, size.u32)
+		f64 := make([]float64, size.f64)
+		for _, align := range []string{"aligned", "unaligned"} {
+			addr := Addr(PageSize)
+			if align == "unaligned" {
+				addr = size.unaligned
+			}
+			name := size.name + "/" + align
+			b.Run("ReadU32s/"+name, func(b *testing.B) {
+				b.SetBytes(int64(4 * len(u32)))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := s.ReadU32s(addr, u32); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			b.Run("WriteU32s/"+name, func(b *testing.B) {
+				b.SetBytes(int64(4 * len(u32)))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := s.WriteU32s(addr, u32); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			b.Run("ReadF64s/"+name, func(b *testing.B) {
+				b.SetBytes(int64(8 * len(f64)))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := s.ReadF64s(addr, f64); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			b.Run("WriteF64s/"+name, func(b *testing.B) {
+				b.SetBytes(int64(8 * len(f64)))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := s.WriteF64s(addr, f64); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

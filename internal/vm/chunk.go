@@ -243,9 +243,16 @@ func UnchunkForest(store castore.BlobStore, root castore.Key) (*Forest, error) {
 // resolveShape parses a root node and materializes its instance lists
 // and tail (no page or table contents), recursing through the parent
 // chain to satisfy copy ops. It also returns the root's chain depth.
-// The header counts are checked against what the ops produce, and no
-// slice is sized by a count before that: capacities are bounded by the
-// leaf refs, the parent's lists and the payload actually present.
+//
+// Nothing is sized or built from the payload until it is known to be
+// bounded by the payload itself. The ops are first checked and summed
+// against the header counts. Then the counts are checked against what
+// a valid forest can name: each table fills at least one root slot in
+// the tail, and each page at least one page id in the tables. So the
+// tail, which is literal payload, bounds the tables, and the tables'
+// page ids bound the pages. Without that bound a 9-byte copy op could
+// re-list the parent's whole page list, and a small root could make
+// UnchunkForest fetch arbitrarily many pages.
 func resolveShape(store castore.BlobStore, key castore.Key, depth int) (*Forest, uint32, error) {
 	if depth > maxResolveDepth {
 		return nil, 0, formatErrorf(0, "root parent chain deeper than %d", maxResolveDepth)
@@ -281,7 +288,8 @@ func resolveShape(store castore.BlobStore, key castore.Key, depth int) (*Forest,
 	if r.Err == nil && nOps > r.Remaining() {
 		r.Failf("page op count %d exceeds payload", nOps)
 	}
-	f.pageKeys = make([]castore.Key, 0, min(max(nPages, 0), len(node.LeafRefs)+len(par.pageKeys)))
+	var pageOps []chunkOp
+	total := 0
 	for i := 0; i < nOps && r.Err == nil; i++ {
 		kind := r.U8()
 		start := int(r.U32())
@@ -293,46 +301,46 @@ func resolveShape(store castore.BlobStore, key castore.Key, depth int) (*Forest,
 		case 0:
 			if start < 0 || count < 0 || start+count > len(node.LeafRefs) {
 				r.Failf("page literal op [%d,+%d) outside %d leaf refs", start, count, len(node.LeafRefs))
-				break
 			}
-			f.pageKeys = append(f.pageKeys, node.LeafRefs[start:start+count]...)
 		case 1:
 			if !hasParent {
 				r.Failf("page copy op in root without parent")
-				break
-			}
-			if start < 0 || count < 0 || start+count > len(par.pageKeys) {
+			} else if start < 0 || count < 0 || start+count > len(par.pageKeys) {
 				r.Failf("page copy op [%d,+%d) outside parent's %d pages", start, count, len(par.pageKeys))
-				break
 			}
-			f.pageKeys = append(f.pageKeys, par.pageKeys[start:start+count]...)
 		default:
 			r.Failf("unknown page op kind %d", kind)
 		}
-		if r.Err == nil && len(f.pageKeys) > nPages {
+		total += count
+		if r.Err == nil && total > nPages {
 			r.Failf("page ops produce more than the %d pages the header gives", nPages)
 		}
+		pageOps = append(pageOps, chunkOp{copy: kind == 1, start: start, count: count})
 	}
-	if r.Err == nil && len(f.pageKeys) != nPages {
-		r.Failf("page ops produced %d pages, header says %d", len(f.pageKeys), nPages)
+	if r.Err == nil && total != nPages {
+		r.Failf("page ops produced %d pages, header says %d", total, nPages)
 	}
 
+	// Literal table records are parsed into lits as they are read (each
+	// takes at least 6 payload bytes); a literal op indexes into lits.
 	nTables := int(r.U32())
 	nOps = int(r.U32())
 	if r.Err == nil && nOps > r.Remaining() {
 		r.Failf("table op count %d exceeds payload", nOps)
 	}
-	// A literal record takes at least 6 payload bytes.
-	f.tables = make([]tableRec, 0, min(max(nTables, 0), r.Remaining()/6+len(par.tables)))
+	var tableOps []chunkOp
+	var lits []tableRec
+	total = 0
 	for i := 0; i < nOps && r.Err == nil; i++ {
-		kind := r.U8()
-		switch kind {
+		var op chunkOp
+		switch kind := r.U8(); kind {
 		case 0:
 			count := int(r.U32())
 			if r.Err == nil && count > r.Remaining() {
 				r.Failf("table literal count %d exceeds payload", count)
 				break
 			}
+			op = chunkOp{start: len(lits), count: count}
 			for j := 0; j < count && r.Err == nil; j++ {
 				leafIdx := int(r.U32())
 				npids := int(r.U16())
@@ -351,7 +359,7 @@ func resolveShape(store castore.BlobStore, key castore.Key, depth int) (*Forest,
 				for k := range rec.pids {
 					rec.pids[k] = r.U32()
 				}
-				f.tables = append(f.tables, rec)
+				lits = append(lits, rec)
 			}
 		case 1:
 			start := int(r.U32())
@@ -361,22 +369,21 @@ func resolveShape(store castore.BlobStore, key castore.Key, depth int) (*Forest,
 			}
 			if !hasParent {
 				r.Failf("table copy op in root without parent")
-				break
-			}
-			if start < 0 || count < 0 || start+count > len(par.tables) {
+			} else if start < 0 || count < 0 || start+count > len(par.tables) {
 				r.Failf("table copy op [%d,+%d) outside parent's %d tables", start, count, len(par.tables))
-				break
 			}
-			f.tables = append(f.tables, par.tables[start:start+count]...)
+			op = chunkOp{copy: true, start: start, count: count}
 		default:
 			r.Failf("unknown table op kind %d", kind)
 		}
-		if r.Err == nil && len(f.tables) > nTables {
+		total += op.count
+		if r.Err == nil && total > nTables {
 			r.Failf("table ops produce more than the %d tables the header gives", nTables)
 		}
+		tableOps = append(tableOps, op)
 	}
-	if r.Err == nil && len(f.tables) != nTables {
-		r.Failf("table ops produced %d tables, header says %d", len(f.tables), nTables)
+	if r.Err == nil && total != nTables {
+		r.Failf("table ops produced %d tables, header says %d", total, nTables)
 	}
 
 	tailLen := int(r.U32())
@@ -387,7 +394,66 @@ func resolveShape(store castore.BlobStore, key castore.Key, depth int) (*Forest,
 	if r.Err != nil {
 		return nil, 0, r.Err
 	}
+
+	slots, err := tailRootSlots(f.tail)
+	if err != nil {
+		return nil, 0, err
+	}
+	if nTables > slots {
+		r.Failf("%d tables, but the tail has %d root slots", nTables, slots)
+		return nil, 0, r.Err
+	}
+	f.tables = make([]tableRec, 0, nTables)
+	for _, op := range tableOps {
+		src := lits
+		if op.copy {
+			src = par.tables
+		}
+		f.tables = append(f.tables, src[op.start:op.start+op.count]...)
+	}
+	pids := 0
+	for i, rec := range f.tables {
+		for _, pid := range rec.pids {
+			if int(pid) > nPages {
+				r.Failf("table %d: page id %d out of range (%d pages)", i, pid, nPages)
+				return nil, 0, r.Err
+			}
+			if pid != 0 {
+				pids++
+			}
+		}
+	}
+	if nPages > pids {
+		r.Failf("%d pages, but the tables list %d page ids", nPages, pids)
+		return nil, 0, r.Err
+	}
+	f.pageKeys = make([]castore.Key, 0, nPages)
+	for _, op := range pageOps {
+		src := node.LeafRefs
+		if op.copy {
+			src = par.pageKeys
+		}
+		f.pageKeys = append(f.pageKeys, src[op.start:op.start+op.count]...)
+	}
 	return f, chainDepth, nil
+}
+
+// tailRootSlots counts the root slots of the space records in a
+// forest's tail. Every table of a valid forest fills at least one.
+func tailRootSlots(tail []byte) (int, error) {
+	r := &imgenc.Reader{B: tail, Wrap: func(off int, msg string) error {
+		return &ImageFormatError{Offset: off, Msg: "tail: " + msg}
+	}}
+	slots := 0
+	nSpaces := int(r.U32())
+	for i := 0; i < nSpaces && r.Err == nil; i++ {
+		r.U8() // flags
+		n := int(r.U16())
+		r.Take(n * (2 + 4))
+		slots += n
+		r.Take(int(r.U16()) * (2 + 8*dirtyWords))
+	}
+	return slots, r.Err
 }
 
 // planOps delta-encodes cur's instance lists against par, falling back

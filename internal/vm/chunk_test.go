@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/castore"
@@ -208,6 +209,20 @@ func TestUnchunkRejectsDamage(t *testing.T) {
 	}
 }
 
+// oneSlotTail is a forest tail holding one space whose one root slot
+// names table 1: the least tail that lets a root carry one table.
+func oneSlotTail() []byte {
+	var b []byte
+	b = binary.LittleEndian.AppendUint32(b, 1) // one space
+	b = append(b, 0)                           // flags
+	b = binary.LittleEndian.AppendUint16(b, 1) // one root slot
+	b = binary.LittleEndian.AppendUint16(b, 0) // l1 0
+	b = binary.LittleEndian.AppendUint32(b, 1) // table 1
+	b = binary.LittleEndian.AppendUint16(b, 0) // no dirty slots
+	b = binary.LittleEndian.AppendUint32(b, 0) // no links
+	return b
+}
+
 func TestUnchunkRejectsMismatchedChunkShapes(t *testing.T) {
 	// A structurally valid root whose refs point at chunks of the wrong
 	// shape (a table chunk where a page belongs) must fail typed, not
@@ -218,6 +233,7 @@ func TestUnchunkRejectsMismatchedChunkShapes(t *testing.T) {
 	if err := store.Put(smallKey, small); err != nil {
 		t.Fatal(err)
 	}
+	tail := oneSlotTail()
 	var payload []byte
 	payload = append(payload, chunkRootVersion)
 	payload = append(payload, 0, 0, 0, 0) // depth
@@ -227,15 +243,21 @@ func TestUnchunkRejectsMismatchedChunkShapes(t *testing.T) {
 	payload = append(payload, 0)          // literal
 	payload = append(payload, 0, 0, 0, 0) // leaf start 0
 	payload = append(payload, 1, 0, 0, 0) // count 1
-	payload = append(payload, 0, 0, 0, 0) // nTables = 0
-	payload = append(payload, 0, 0, 0, 0) // no table ops
-	payload = append(payload, 0, 0, 0, 0) // tail len 0
-	root, err := castore.PutNode(store, nil, []castore.Key{smallKey}, payload)
+	payload = append(payload, 1, 0, 0, 0) // nTables = 1
+	payload = append(payload, 1, 0, 0, 0) // one table op
+	payload = append(payload, 0)          // literal
+	payload = append(payload, 1, 0, 0, 0) // one record
+	payload = append(payload, 1, 0, 0, 0) // leaf 1
+	payload = append(payload, 1, 0)       // one page id
+	payload = append(payload, 1, 0, 0, 0) // page 1
+	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(tail)))
+	payload = append(payload, tail...)
+	root, err := castore.PutNode(store, nil, []castore.Key{smallKey, smallKey}, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := UnchunkForest(store, root); !errors.As(err, new(*ImageFormatError)) {
-		t.Fatalf("wrong-size page chunk: %v, want ImageFormatError", err)
+	if _, err := UnchunkForest(store, root); !errors.As(err, new(*ImageFormatError)) || !strings.Contains(err.Error(), "page 0: chunk") {
+		t.Fatalf("wrong-size page chunk: %v, want ImageFormatError for page 0's chunk", err)
 	}
 
 	// A truncated root payload is a format error too.
@@ -275,7 +297,8 @@ func TestUnchunkRejectsMismatchedChunkShapes(t *testing.T) {
 		for _, pid := range pids {
 			p = binary.LittleEndian.AppendUint32(p, pid)
 		}
-		p = binary.LittleEndian.AppendUint32(p, 0) // tail len 0
+		p = binary.LittleEndian.AppendUint32(p, uint32(len(tail)))
+		p = append(p, tail...)
 		key, err := castore.PutNode(store, nil, []castore.Key{castore.KeyOf(chunk)}, p)
 		if err != nil {
 			t.Fatal(err)
@@ -287,8 +310,8 @@ func TestUnchunkRejectsMismatchedChunkShapes(t *testing.T) {
 		"table chunk length":    tableRoot(badLen, 0, 0),
 		"table slot count":      tableRoot(small, 0, 0),
 	} {
-		if _, err := UnchunkForest(store, root); !errors.As(err, new(*ImageFormatError)) {
-			t.Fatalf("%s: %v, want ImageFormatError", name, err)
+		if _, err := UnchunkForest(store, root); !errors.As(err, new(*ImageFormatError)) || !strings.Contains(err.Error(), "table 0: chunk") {
+			t.Fatalf("%s: %v, want ImageFormatError for table 0's chunk", name, err)
 		}
 	}
 	// The same record with a matching page-id list is well-formed.
@@ -414,6 +437,118 @@ func TestUnchunkBoundsHostileRootCounts(t *testing.T) {
 		if least >= uint64(16*len(node)) {
 			t.Fatalf("%s: unchunking a %d-byte root allocated %d bytes", name, len(node), least)
 		}
+	}
+}
+
+// countingStore counts the Gets that reach a store.
+type countingStore struct {
+	castore.BlobStore
+	gets int
+}
+
+func (s *countingStore) Get(k castore.Key) ([]byte, error) {
+	s.gets++
+	return s.BlobStore.Get(k)
+}
+
+// deltaRoot is a delta root payload over par. Its page list is par's
+// whole page list pageCopies times, one 9-byte copy op each; its table
+// list is par's tables tableCopies times, then one literal record per
+// lits entry (naming leaf ref 0, with those page ids); its tail is par's.
+func deltaRoot(par *Forest, pageCopies, tableCopies int, lits ...[]uint32) []byte {
+	var p []byte
+	p = append(p, chunkRootVersion)
+	p = binary.LittleEndian.AppendUint32(p, 1) // depth
+	p = append(p, 1)                           // delta
+	p = binary.LittleEndian.AppendUint32(p, uint32(pageCopies*len(par.pageKeys)))
+	p = binary.LittleEndian.AppendUint32(p, uint32(pageCopies))
+	for i := 0; i < pageCopies; i++ {
+		p = append(p, 1) // copy
+		p = binary.LittleEndian.AppendUint32(p, 0)
+		p = binary.LittleEndian.AppendUint32(p, uint32(len(par.pageKeys)))
+	}
+	p = binary.LittleEndian.AppendUint32(p, uint32(tableCopies*len(par.tables)+len(lits)))
+	nOps := tableCopies
+	if len(lits) > 0 {
+		nOps++
+	}
+	p = binary.LittleEndian.AppendUint32(p, uint32(nOps))
+	for i := 0; i < tableCopies; i++ {
+		p = append(p, 1) // copy
+		p = binary.LittleEndian.AppendUint32(p, 0)
+		p = binary.LittleEndian.AppendUint32(p, uint32(len(par.tables)))
+	}
+	if len(lits) > 0 {
+		p = append(p, 0) // literal
+		p = binary.LittleEndian.AppendUint32(p, uint32(len(lits)))
+		for _, pids := range lits {
+			p = binary.LittleEndian.AppendUint32(p, 0) // leaf 0
+			p = binary.LittleEndian.AppendUint16(p, uint16(len(pids)))
+			for _, pid := range pids {
+				p = binary.LittleEndian.AppendUint32(p, pid)
+			}
+		}
+	}
+	p = binary.LittleEndian.AppendUint32(p, uint32(len(par.tail)))
+	return append(p, par.tail...)
+}
+
+// TestUnchunkRejectsRootsBeyondTheirNames is the regression test for
+// copy-op amplification: a 1 KB delta root over a 64-page parent listed
+// the parent's pages 100 times, and UnchunkForest fetched 6400 pages
+// (26 MB) before DecodeForest accepted the forest. A root may list no
+// more pages than its tables' page ids, no page id past its pages, and
+// no more tables than its tail's root slots; each violation must fail
+// typed before any page or table chunk is fetched.
+func TestUnchunkRejectsRootsBeyondTheirNames(t *testing.T) {
+	s := NewSpace()
+	mustSetPerm(t, s, 0, 64*PageSize, PermRW)
+	for i := 0; i < 64; i++ {
+		if err := s.WriteU64(Addr(i*PageSize), uint64(i)+1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e := NewForestEncoder()
+	e.Add(s)
+	par := e.Encode()
+	store := &countingStore{BlobStore: rawStore{}}
+	parRoot, err := ChunkForest(store, par, castore.Key{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		leaves  []castore.Key
+		want    string
+	}{
+		{"100 copies of the parent's pages", deltaRoot(par, 100, 1), nil, "6400 pages, but the tables list 64 page ids"},
+		{"page id out of range", deltaRoot(par, 1, 0, []uint32{65}), []castore.Key{par.tables[0].chunk}, "page id 65 out of range"},
+		{"more tables than root slots", deltaRoot(par, 1, 2), nil, "2 tables, but the tail has 1 root slots"},
+	} {
+		node := castore.BuildNode([]castore.Key{parRoot}, tc.leaves, tc.payload)
+		key := castore.KeyOf(node)
+		if err := store.Put(key, node); err != nil {
+			t.Fatal(err)
+		}
+		store.gets = 0
+		_, err := UnchunkForest(store, key)
+		if !errors.As(err, new(*ImageFormatError)) || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s (%d-byte payload): got %v, want *ImageFormatError %q", tc.name, len(tc.payload), err, tc.want)
+		}
+		if store.gets != 2 {
+			t.Fatalf("%s: %d Gets, want 2 (the root and its parent, no chunks)", tc.name, store.gets)
+		}
+	}
+
+	// The parent itself, re-rooted as a delta over itself, still reads.
+	key, err := ChunkForest(store, par, parRoot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back, err := UnchunkForest(store, key); err != nil || !back.Equal(par) {
+		t.Fatalf("delta root over the parent: %v", err)
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 
 // Dirty-page tracking.
 //
-// Every mutation of a space's contents — COW breaks in writablePage, Zero,
+// Every mutation of a space's contents — writes through writeSpan, Zero,
 // SetPerm, CopyFrom, CopyAllFrom, and the destination side of Merge — sets a
 // bit in a per-space, per-table bitmap. Snapshot clears the bitmaps and
 // stamps the (space, snapshot) pair with a fresh identity token, so the

@@ -272,7 +272,8 @@ func (e *ForestEncoder) Encode() *Forest {
 func DecodeForest(f *Forest) ([]*Space, error) {
 	pages := make([]*page, len(f.pages))
 	for i, b := range f.pages {
-		pg := newPageFrom(b)
+		pg := newPage()
+		copy(pg.data[:], b)
 		pg.refs.Store(0) // references added as ptes adopt the page
 		pages[i] = pg
 	}

@@ -327,8 +327,8 @@ func (dc *dstCursor) own() *table {
 }
 
 // writablePage marks l2 dirty and returns a privately-owned page there,
-// breaking page sharing as needed — Space.writablePage minus the
-// per-page table walk.
+// breaking page sharing as needed — Space.writeSpan's page step minus
+// the per-page table walk.
 func (dc *dstCursor) writablePage(l2 int) *page {
 	t := dc.own()
 	dc.db[l2>>6] |= 1 << (uint(l2) & 63)

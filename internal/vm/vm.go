@@ -103,17 +103,6 @@ func newPage() *page {
 	return p
 }
 
-// newPageFrom returns a fresh exclusively-owned page holding a copy of b
-// (at most PageSize bytes). It is the install path for whole-page data
-// arriving from outside the space — full-page-aligned Writes and
-// image/chunk decode — which never needs the read-copy COW break: the
-// incoming bytes replace the entire page, so nothing old is worth saving.
-func newPageFrom(b []byte) *page {
-	p := newPage()
-	copy(p.data[:], b)
-	return p
-}
-
 // pte is a page-table entry: a permission plus an optional backing page.
 // A mapped entry with a nil page reads as zeros ("lazy zero page"); the
 // backing page is allocated on first write.
@@ -413,57 +402,83 @@ func (s *Space) Snapshot() (*Space, CopyStats) {
 	return snap, st
 }
 
-// writablePage returns the backing page for a, breaking table- and
-// page-level COW sharing and allocating lazy-zero pages as needed. The
-// caller must already have checked write permission. This is the funnel
-// for every in-place data write, so it is also where pages are marked
-// dirty for merge tracking.
-func (s *Space) writablePage(a Addr) *page {
-	s.markDirty(a)
-	l1, l2 := split(a)
-	t := s.ownTable(l1)
-	e := t.ptes[l2]
-	switch {
-	case e.pg == nil:
-		e.pg = newPage()
-		t.ptes[l2] = e
-	case e.pg.refs.Load() > 1:
-		np := newPage()
-		np.data = e.pg.data
-		e.pg.refs.Add(-1)
-		e.pg = np
-		t.ptes[l2] = e
+// readSpan checks read permission on the page holding addr and returns
+// the length of the span from addr to the end of that page or of an
+// n-byte request, whichever comes first, with the page's bytes for it.
+// A lazy zero page has no bytes: it returns nil, and the span reads as
+// zeros. Read and the typed bulk loads are walks over readSpan, so a
+// fault reports the first unreadable address with everything before it
+// already transferred.
+func (s *Space) readSpan(addr Addr, n int) ([]byte, int, error) {
+	l1, l2 := split(addr)
+	var e pte
+	if t := s.root[l1]; t != nil {
+		e = t.ptes[l2]
 	}
-	return e.pg
+	if e.perm&PermR == 0 {
+		return nil, 0, &AccessError{Addr: addr, Perm: e.perm}
+	}
+	off := int(addr & pageMask)
+	n = min(PageSize-off, n)
+	if e.pg == nil {
+		return nil, n, nil
+	}
+	return e.pg.data[off : off+n], n, nil
+}
+
+// writeSpan checks write permission on the page holding addr and returns
+// the page's writable bytes from addr to the end of that page or of an
+// n-byte request, whichever comes first. It is the funnel for every
+// in-place data write: it breaks table sharing, marks the pte dirty for
+// merge tracking, and gives the pte a private page — allocating a lazy
+// zero page, or copying a shared one. A span that covers the whole page
+// gets a fresh page without that read-copy, so a caller handed a whole
+// page must overwrite all of it.
+func (s *Space) writeSpan(addr Addr, n int) ([]byte, error) {
+	l1, l2 := split(addr)
+	t := s.root[l1]
+	var e pte
+	if t != nil {
+		e = t.ptes[l2]
+	}
+	if e.perm&PermW == 0 {
+		return nil, &AccessError{Addr: addr, Write: true, Perm: e.perm}
+	}
+	if t.refs.Load() > 1 {
+		t = s.ownTable(l1)
+	}
+	s.markDirty(addr)
+	off := int(addr & pageMask)
+	n = min(PageSize-off, n)
+	pg := t.ptes[l2].pg
+	switch {
+	case pg == nil:
+		pg = newPage()
+		t.ptes[l2].pg = pg
+	case pg.refs.Load() > 1:
+		np := newPage()
+		if n < PageSize {
+			np.data = pg.data
+		}
+		pg.refs.Add(-1)
+		pg = np
+		t.ptes[l2].pg = pg
+	}
+	return pg.data[off : off+n], nil
 }
 
 // Read copies len(p) bytes starting at addr into p. The range may cross
 // page boundaries but every page touched must be mapped with PermR.
-//
-// The walk is a single cursor over the page tables: the level-2 table is
-// resolved once per level-1 slot (1024 pages), not once per page, and the
-// pte it yields serves both the permission check and the data access.
 func (s *Space) Read(addr Addr, p []byte) error {
-	curL1 := -1
-	var t *table
 	for len(p) > 0 {
-		l1, l2 := split(addr)
-		if l1 != curL1 {
-			t, curL1 = s.root[l1], l1
+		b, n, err := s.readSpan(addr, len(p))
+		if err != nil {
+			return err
 		}
-		var e pte
-		if t != nil {
-			e = t.ptes[l2]
-		}
-		if e.perm&PermR == 0 {
-			return &AccessError{Addr: addr, Perm: e.perm}
-		}
-		off := int(addr & pageMask)
-		n := min(PageSize-off, len(p))
-		if e.pg == nil {
+		if b == nil {
 			clear(p[:n])
 		} else {
-			copy(p[:n], e.pg.data[off:off+n])
+			copy(p, b)
 		}
 		p = p[n:]
 		addr += Addr(n)
@@ -472,62 +487,15 @@ func (s *Space) Read(addr Addr, p []byte) error {
 }
 
 // Write copies p into the space starting at addr. Every page touched must
-// be mapped with PermW; COW sharing is broken as needed.
-//
-// Like Read this is one cursor walk: the pte that passes the permission
-// check is the pte the write goes through — no second entry()/ownTable
-// lookup per page — and the dirty bitmap is fetched once per level-1
-// slot. Full-page-aligned stores that would need a COW break instead
-// install a fresh page initialized straight from the incoming bytes,
-// skipping the read-copy of data that is about to be overwritten.
+// be mapped with PermW; COW sharing is broken as needed, and full-page
+// stores replace a shared page without copying its old contents.
 func (s *Space) Write(addr Addr, p []byte) error {
-	curL1 := -1
-	var t *table      // s.root[curL1], privately owned once written through
-	var db *dirtyBits // dirty bitmap for curL1
 	for len(p) > 0 {
-		l1, l2 := split(addr)
-		if l1 != curL1 {
-			t, curL1, db = s.root[l1], l1, nil
+		b, err := s.writeSpan(addr, len(p))
+		if err != nil {
+			return err
 		}
-		var e pte
-		if t != nil {
-			e = t.ptes[l2]
-		}
-		if e.perm&PermW == 0 {
-			return &AccessError{Addr: addr, Write: true, Perm: e.perm}
-		}
-		if t == nil || t.refs.Load() > 1 {
-			t = s.ownTable(l1)
-			e = t.ptes[l2]
-		}
-		if db == nil {
-			db = s.dirtyTable(l1)
-		}
-		db[l2>>6] |= 1 << (uint(l2) & 63)
-		off := int(addr & pageMask)
-		n := min(PageSize-off, len(p))
-		pg := e.pg
-		if n == PageSize && (pg == nil || pg.refs.Load() > 1) {
-			// Whole page replaced: install a fresh page holding the
-			// incoming bytes, with no read-copy COW break.
-			if pg != nil {
-				pg.refs.Add(-1)
-			}
-			t.ptes[l2] = pte{pg: newPageFrom(p[:PageSize]), perm: e.perm}
-		} else {
-			switch {
-			case pg == nil:
-				pg = newPage()
-				t.ptes[l2] = pte{pg: pg, perm: e.perm}
-			case pg.refs.Load() > 1:
-				np := newPage()
-				np.data = pg.data
-				pg.refs.Add(-1)
-				pg = np
-				t.ptes[l2] = pte{pg: pg, perm: e.perm}
-			}
-			copy(pg.data[off:off+n], p[:n])
-		}
+		n := copy(b, p)
 		p = p[n:]
 		addr += Addr(n)
 	}
@@ -577,46 +545,116 @@ func (s *Space) WriteF64(addr Addr, v float64) error {
 	return s.WriteU64(addr, math.Float64bits(v))
 }
 
+// The typed bulk accessors encode and decode their little-endian
+// elements in place on the page frames, one readSpan or writeSpan per
+// page, with no staging buffer. An element that straddles a page
+// boundary (addr not aligned to the element size) goes through the
+// scalar accessor. Faults, dirty marks and COW breaks are therefore
+// exactly those of the byte Read or Write of the same range, and a
+// write leaves the same prefix behind when it faults.
+
 // ReadU32s bulk-reads len(dst) little-endian uint32s starting at addr.
 func (s *Space) ReadU32s(addr Addr, dst []uint32) error {
-	buf := make([]byte, 4*len(dst))
-	if err := s.Read(addr, buf); err != nil {
-		return err
-	}
-	for i := range dst {
-		dst[i] = binary.LittleEndian.Uint32(buf[4*i:])
+	for len(dst) > 0 {
+		if addr&pageMask > PageSize-4 {
+			v, err := s.ReadU32(addr)
+			if err != nil {
+				return err
+			}
+			dst[0] = v
+			dst, addr = dst[1:], addr+4
+			continue
+		}
+		b, n, err := s.readSpan(addr, 4*len(dst))
+		if err != nil {
+			return err
+		}
+		k := n / 4
+		if b == nil {
+			clear(dst[:k])
+		} else {
+			for i := range dst[:k] {
+				dst[i] = binary.LittleEndian.Uint32(b[4*i:])
+			}
+		}
+		dst, addr = dst[k:], addr+Addr(4*k)
 	}
 	return nil
 }
 
 // WriteU32s bulk-writes src as little-endian uint32s starting at addr.
 func (s *Space) WriteU32s(addr Addr, src []uint32) error {
-	buf := make([]byte, 4*len(src))
-	for i, v := range src {
-		binary.LittleEndian.PutUint32(buf[4*i:], v)
+	for len(src) > 0 {
+		if addr&pageMask > PageSize-4 {
+			if err := s.WriteU32(addr, src[0]); err != nil {
+				return err
+			}
+			src, addr = src[1:], addr+4
+			continue
+		}
+		b, err := s.writeSpan(addr, 4*len(src))
+		if err != nil {
+			return err
+		}
+		k := len(b) / 4
+		for i, v := range src[:k] {
+			binary.LittleEndian.PutUint32(b[4*i:], v)
+		}
+		src, addr = src[k:], addr+Addr(4*k)
 	}
-	return s.Write(addr, buf)
+	return nil
 }
 
 // ReadF64s bulk-reads len(dst) float64s starting at addr.
 func (s *Space) ReadF64s(addr Addr, dst []float64) error {
-	buf := make([]byte, 8*len(dst))
-	if err := s.Read(addr, buf); err != nil {
-		return err
-	}
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
+	for len(dst) > 0 {
+		if addr&pageMask > PageSize-8 {
+			v, err := s.ReadF64(addr)
+			if err != nil {
+				return err
+			}
+			dst[0] = v
+			dst, addr = dst[1:], addr+8
+			continue
+		}
+		b, n, err := s.readSpan(addr, 8*len(dst))
+		if err != nil {
+			return err
+		}
+		k := n / 8
+		if b == nil {
+			clear(dst[:k])
+		} else {
+			for i := range dst[:k] {
+				dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+			}
+		}
+		dst, addr = dst[k:], addr+Addr(8*k)
 	}
 	return nil
 }
 
 // WriteF64s bulk-writes src as float64s starting at addr.
 func (s *Space) WriteF64s(addr Addr, src []float64) error {
-	buf := make([]byte, 8*len(src))
-	for i, v := range src {
-		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
+	for len(src) > 0 {
+		if addr&pageMask > PageSize-8 {
+			if err := s.WriteF64(addr, src[0]); err != nil {
+				return err
+			}
+			src, addr = src[1:], addr+8
+			continue
+		}
+		b, err := s.writeSpan(addr, 8*len(src))
+		if err != nil {
+			return err
+		}
+		k := len(b) / 8
+		for i, v := range src[:k] {
+			binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
+		}
+		src, addr = src[k:], addr+Addr(8*k)
 	}
-	return s.Write(addr, buf)
+	return nil
 }
 
 // MappedPages counts mapped pages (useful in tests and for cost accounting).
